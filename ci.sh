@@ -12,13 +12,13 @@
 #
 # Stages: fmt, clippy, doc, tests, drill, membership, fairness, bench.
 #
-# The membership stage runs the dynamic-membership drill
-# (tests/tests/membership.rs): gossip-replicated routers, a router killed
-# mid-stream, a node joining mid-stream, and a deterministic
-# fault-injection plan (drops, duplicates, a partition window) under
-# open-loop Poisson traffic — every admitted request must complete
-# bit-identically against the single-process oracle. Pinned to one
-# kernel thread and a wall-clock budget like the drill.
+# The membership stage runs the cluster drill's fault script
+# (tests/tests/membership.rs) over a fixed seed set: gossip-replicated
+# routers, a router killed mid-stream, a node joining mid-stream, and a
+# deterministic fault-injection plan (drops, duplicates, a partition
+# window) under open-loop Poisson traffic — every admitted request must
+# complete bit-identically against the single-process oracle. Pinned to
+# one kernel thread and a wall-clock budget like the drill.
 #
 # The fairness stage runs the adversarial multi-tenant suite
 # (tests/tests/fairness.rs): a flooding batch tenant vs an interactive
@@ -26,9 +26,10 @@
 # under saturation, and sim-vs-live policy-ranking agreement — pinned to
 # one kernel thread and a wall-clock budget like the drill.
 #
-# The drill stage runs the cluster chaos drill (tests/tests/cluster.rs):
-# a 3-node serving cluster behind fluid-router, Poisson traffic, a node
-# killed and restarted mid-stream, then a rolling hot swap — pinned to
+# The drill stage runs the cluster drill's chaos script
+# (tests/tests/cluster.rs) over a fixed seed set: a 3-node serving
+# cluster behind two fluid-router front-ends, Poisson traffic, a node
+# crashed and restarted mid-stream, then a rolling hot swap — pinned to
 # one kernel thread (the 1-core CI host's honest configuration) and to a
 # wall-clock budget so a routing hang fails loudly instead of stalling
 # the pipeline.
@@ -124,7 +125,7 @@ stage_tests() {
 }
 
 stage_drill() {
-    # 300 s is ~10× the drill's healthy wall clock (compile excluded: the
+    # 300 s is ~30× the seed sweep's healthy wall clock (compile excluded: the
     # tests stage has already built the workspace when the full pipeline
     # runs); hitting the budget means a hang, which is exactly the class
     # of bug the drill exists to catch.
@@ -133,8 +134,8 @@ stage_drill() {
 }
 
 stage_membership() {
-    # The membership drill injects faults on a deterministic schedule and
-    # kills a live router mid-stream, so like the chaos drill it gets one
+    # The fault script injects faults on a deterministic schedule and
+    # kills a live router mid-stream, so like the chaos script it gets one
     # kernel thread and a wall-clock budget: a gossip or rebuild hang
     # fails loudly instead of stalling the pipeline.
     FLUID_THREADS=1 timeout 300 \

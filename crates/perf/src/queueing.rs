@@ -415,7 +415,7 @@ pub struct ClusterSimReport {
 /// * At `replication = 1` any node outage drops every request of that
 ///   node's shards for the whole window, while `replication = 2` rides
 ///   through a single-node outage with zero drops and only a latency
-///   bump — why 2 is the default and the chaos drill's kill discipline is
+///   bump — why 2 is the default and the drill's crash discipline is
 ///   one-node-at-a-time (`one_replica_drops_two_replicas_ride_through`).
 /// * With a single router, a router outage drops its whole window; a
 ///   second router turns the same window into per-request retries

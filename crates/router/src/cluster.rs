@@ -1,20 +1,18 @@
-//! The dynamic cluster harness: N announcing serve nodes behind R
+//! The cluster harness: N announcing serve nodes behind R
 //! gossip-replicated routers.
 //!
-//! Where [`LocalCluster`](crate::LocalCluster) wires a *static* node list
-//! into one in-process router, this harness exercises the full dynamic
-//! membership story: every node runs a background
-//! [`Announcer`](fluid_serve::Announcer) that Joins and heartbeats every
-//! router, every router runs a TCP front-end ([`route_tcp`]) plus a
-//! gossip thread ([`spawn_gossip`]), and nothing is wired by hand — a
-//! router learns the cluster from announcements and from its peers, and
-//! clients learn to survive a router by retrying across the router list.
-//! The membership drill ([`run_membership_drill`](crate::run_membership_drill))
-//! runs against exactly this harness.
+//! Every node runs a background [`Announcer`](fluid_serve::Announcer)
+//! that Joins and heartbeats every router, every router runs a TCP
+//! front-end ([`route_tcp`]) plus a gossip thread ([`spawn_gossip`]) when
+//! it has peers, and nothing is wired by hand — a router learns the
+//! cluster from announcements and from its peers, and clients learn to
+//! survive a router by retrying across the router list. A static cluster
+//! is just nodes that joined at boot. The drill
+//! ([`run_drill`](crate::run_drill)) runs against exactly this harness.
 
 use crate::gossip::{spawn_gossip, GossipConfig};
 use crate::node::ServeNode;
-use crate::router::{route_tcp, Router, RouterConfig};
+use crate::router::{route_tcp, NodeStatus, Router, RouterConfig};
 use fluid_models::{ConvNet, SubnetSpec};
 use fluid_serve::{AnnounceConfig, Announcer, ServeConfig, ServeError};
 use std::net::TcpListener;
@@ -162,15 +160,17 @@ impl Default for DynamicClusterConfig {
 }
 
 /// One announcing serve node: the node itself plus its membership
-/// announcer (absent after an abrupt kill).
+/// announcer (absent after a crash or a leave).
 struct Member {
     node: ServeNode,
     announcer: Option<Announcer>,
+    /// Whether the node said Leave to the routers (a crash says nothing,
+    /// so a crashed node stays a member until it leaves).
+    left: bool,
 }
 
-/// N announcing serve nodes behind R gossip-replicated routers — the
-/// dynamic-membership counterpart of [`LocalCluster`](crate::LocalCluster).
-/// See the module docs for the wiring.
+/// N announcing serve nodes behind R gossip-replicated routers. See the
+/// module docs for the wiring.
 pub struct DynamicCluster {
     members: Vec<Member>,
     routers: Vec<RouterNode>,
@@ -222,7 +222,7 @@ impl DynamicCluster {
             .into_iter()
             .enumerate()
             .map(|(i, listener)| {
-                let router = Router::new_dynamic(RouterConfig {
+                let router = Router::new(RouterConfig {
                     id: format!("router-{i}"),
                     ..cfg.router.clone()
                 });
@@ -273,29 +273,129 @@ impl DynamicCluster {
             self.cfg.workers_per_node,
             self.cfg.serve.clone(),
         )?;
-        let announce = AnnounceConfig {
-            interval: self.cfg.announce_interval,
-            ..AnnounceConfig::new(&id, node.addr(), self.router_addrs.clone())
-        };
-        let announcer = Announcer::spawn(announce, node.handle()?);
+        let announcer = Some(self.announcer(&node)?);
         self.members.push(Member {
             node,
-            announcer: Some(announcer),
+            announcer,
+            left: false,
         });
         Ok(id)
     }
 
+    /// Starts announcing `node` at its current address to every router.
+    fn announcer(&self, node: &ServeNode) -> Result<Announcer, ServeError> {
+        let announce = AnnounceConfig {
+            interval: self.cfg.announce_interval,
+            ..AnnounceConfig::new(node.id(), node.addr(), self.router_addrs.clone())
+        };
+        Ok(Announcer::spawn(announce, node.handle()?))
+    }
+
     /// Gracefully removes node `index`: its announcer sends Leave to
-    /// every reachable router, then the node shuts down.
+    /// every reachable router, then the node shuts down. A crashed node
+    /// has no announcer left to say Leave, so it stays a member.
     ///
     /// # Panics
     ///
     /// If `index` is out of range.
     pub fn leave_node(&mut self, index: usize) {
-        if let Some(announcer) = self.members[index].announcer.take() {
+        let member = &mut self.members[index];
+        if let Some(announcer) = member.announcer.take() {
             announcer.stop();
+            member.left = true;
         }
-        self.members[index].node.kill();
+        member.node.kill();
+    }
+
+    /// Restarts node `index` (crashing it first if it is still up) on a
+    /// fresh port with a fresh announcer. The routers learn the new
+    /// address from its Join and heartbeats; a node that had left joins
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// Node boot failures pass through.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is out of range.
+    pub fn restart_node(&mut self, index: usize) -> Result<(), ServeError> {
+        self.crash_node(index);
+        self.members[index].node.restart()?;
+        let announcer = self.announcer(&self.members[index].node)?;
+        let member = &mut self.members[index];
+        member.announcer = Some(announcer);
+        member.left = false;
+        Ok(())
+    }
+
+    /// Rolls a new model across the cluster one node at a time: cordon
+    /// the node on every live router (cordon is per-router state, never
+    /// gossiped), wait until its in-flight count summed over those
+    /// routers reaches zero, hot-swap it in place (its own zero-drop
+    /// drain), uncordon, next. With `replication ≥ 2` every shard keeps a
+    /// serving replica throughout, so the cluster as a whole never
+    /// refuses a shard.
+    ///
+    /// Downed nodes are skipped; a router that does not list a node
+    /// routes nothing to it and is left alone. Returns the number of
+    /// nodes swapped.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Elastic`] when a node's in-flight count does not
+    /// drain within `drain_timeout`, or when the node's own hot swap
+    /// fails. The node is uncordoned either way — a failed swap must not
+    /// leave the cluster smaller.
+    pub fn rolling_swap(
+        &mut self,
+        net: &ConvNet,
+        spec: &SubnetSpec,
+        drain_timeout: Duration,
+        retire_timeout: Duration,
+    ) -> Result<usize, ServeError> {
+        let live: Vec<&Router> = self
+            .routers
+            .iter()
+            .filter(|r| r.is_up())
+            .map(RouterNode::router)
+            .collect();
+        let mut swapped = 0;
+        for member in self.members.iter_mut().filter(|m| m.node.is_up()) {
+            let id = member.node.id().to_string();
+            let cordoned: Vec<&Router> = live
+                .iter()
+                .copied()
+                .filter(|r| r.cordon(&id).is_ok())
+                .collect();
+            let deadline = Instant::now() + drain_timeout;
+            let drained = loop {
+                let in_flight: usize = cordoned
+                    .iter()
+                    .map(|r| r.node_in_flight(&id).unwrap_or(0))
+                    .sum();
+                if in_flight == 0 {
+                    break true;
+                }
+                if Instant::now() >= deadline {
+                    break false;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            let result = if drained {
+                member.node.hot_swap(net, spec, retire_timeout)
+            } else {
+                Err(ServeError::Elastic(format!(
+                    "node {id} did not drain within {drain_timeout:?}"
+                )))
+            };
+            for router in &cordoned {
+                let _ = router.uncordon(&id);
+            }
+            result?;
+            swapped += 1;
+        }
+        Ok(swapped)
     }
 
     /// Abruptly kills node `index` — no Leave, no goodbye; routers find
@@ -356,28 +456,34 @@ impl DynamicCluster {
     }
 
     /// Blocks until every *living* router agrees with the harness about
-    /// the cluster: identical membership epochs, the living node ids
-    /// exactly, and every one of them healthy. Returns `false` on
-    /// timeout — callers assert on it, so a convergence failure names
-    /// itself instead of surfacing as downstream flakiness.
+    /// the cluster: identical membership epochs, exactly the nodes that
+    /// have not left (a crashed node sends no Leave, so it stays a
+    /// member), and every node that is up listed healthy at its current
+    /// address. Returns `false` on timeout — callers assert on it, so a
+    /// convergence failure names itself instead of surfacing as
+    /// downstream flakiness.
     pub fn wait_converged(&self, timeout: Duration) -> bool {
-        let expected: Vec<String> = self
+        let mut expected: Vec<&str> = self
             .members
             .iter()
-            .filter(|m| m.node.is_up())
-            .map(|m| m.node.id().to_string())
+            .filter(|m| !m.left)
+            .map(|m| m.node.id())
             .collect();
+        expected.sort_unstable();
+        let healthy = |n: &NodeStatus| {
+            self.members.iter().all(|m| {
+                m.node.id() != n.id || !m.node.is_up() || (n.up && n.addr == m.node.addr())
+            })
+        };
         let deadline = Instant::now() + timeout;
         loop {
             let live: Vec<&RouterNode> = self.routers.iter().filter(|r| r.is_up()).collect();
             let settled = !live.is_empty()
                 && live.iter().all(|r| {
                     let m = r.router().metrics();
-                    let mut ids: Vec<String> = m.nodes.iter().map(|n| n.id.clone()).collect();
-                    ids.sort();
-                    let mut want = expected.clone();
-                    want.sort();
-                    ids == want && m.nodes.iter().all(|n| n.up)
+                    let mut ids: Vec<&str> = m.nodes.iter().map(|n| n.id.as_str()).collect();
+                    ids.sort_unstable();
+                    ids == expected && m.nodes.iter().all(healthy)
                 })
                 && live
                     .windows(2)
@@ -504,5 +610,217 @@ mod tests {
         let x = Tensor::from_fn(&[1, 1, 28, 28], |i| (i % 3) as f32 / 3.0);
         let mut client = TcpClient::connect(cluster.router(1).addr()).expect("survivor");
         client.infer_keyed(9, &x).expect("survivor still routes");
+    }
+
+    fn x(div: usize) -> Tensor {
+        Tensor::from_fn(&[1, 1, 28, 28], |i| (i % div) as f32 / div as f32)
+    }
+
+    #[test]
+    fn wait_converged_counts_a_crashed_node_as_a_member() {
+        // A crash sends no Leave, so the routers keep listing the node;
+        // convergence must not wait for a departure that never comes.
+        let (net, spec) = model();
+        let mut cluster = DynamicCluster::boot(&net, &spec, fast_cfg()).expect("boot");
+        assert!(cluster.wait_converged(Duration::from_secs(10)));
+        cluster.crash_node(1);
+        assert!(
+            cluster.wait_converged(Duration::from_secs(3)),
+            "a crash must not block convergence"
+        );
+        for r in 0..cluster.routers_len() {
+            assert_eq!(
+                cluster.router(r).router().member_ids(),
+                vec!["node-0", "node-1"]
+            );
+        }
+    }
+
+    #[test]
+    fn routes_around_a_crashed_node_and_back() {
+        let (net, spec) = model();
+        let cfg = DynamicClusterConfig {
+            nodes: 3,
+            ..fast_cfg()
+        };
+        let mut cluster = DynamicCluster::boot(&net, &spec, cfg).expect("boot");
+        assert!(cluster.wait_converged(Duration::from_secs(10)));
+        let x = x(9);
+        let mut oracle = net.clone();
+        let expected = oracle.forward_subnet(&x, &spec, false);
+        let router = cluster.router(0).router().clone();
+
+        // Every key routes correctly on the healthy cluster.
+        for key in 0..16u64 {
+            let got = router.infer(key, &x).expect("healthy infer");
+            assert!(got.allclose(&expected, 0.0), "key {key} diverged");
+        }
+        // Crash one node: with replication 2 every shard keeps a replica,
+        // so every key still gets bit-identical logits (retries allowed).
+        cluster.crash_node(1);
+        for key in 0..16u64 {
+            let got = router.infer(key, &x).expect("degraded infer");
+            assert!(
+                got.allclose(&expected, 0.0),
+                "key {key} diverged while degraded"
+            );
+        }
+        // Restart: the node re-announces at its new port and serves again.
+        cluster.restart_node(1).expect("restart");
+        assert!(cluster.wait_converged(Duration::from_secs(10)));
+        for key in 0..16u64 {
+            router.infer(key, &x).expect("recovered infer");
+        }
+        let served: u64 = router.metrics().nodes.iter().map(|n| n.served).sum();
+        assert_eq!(served, 48, "every request must be served by some node");
+    }
+
+    #[test]
+    fn restart_node_serves_at_its_new_port_through_both_routers() {
+        let (net, spec) = model();
+        let mut cluster = DynamicCluster::boot(&net, &spec, fast_cfg()).expect("boot");
+        assert!(cluster.wait_converged(Duration::from_secs(10)));
+        let old_addr = cluster.node(1).addr().to_string();
+        cluster.restart_node(1).expect("restart");
+        let new_addr = cluster.node(1).addr().to_string();
+        assert_ne!(new_addr, old_addr, "restart must take a fresh port");
+        assert!(
+            cluster.wait_converged(Duration::from_secs(10)),
+            "routers never learned the new address"
+        );
+
+        let x = x(5);
+        let mut oracle = net.clone();
+        let expected = oracle.forward_subnet(&x, &spec, false);
+        for r in 0..cluster.routers_len() {
+            let mut client = TcpClient::connect(cluster.router(r).addr()).expect("connect");
+            for key in 0..32u64 {
+                let got = client.infer_keyed(key, &x).expect("routed infer");
+                assert!(
+                    got.allclose(&expected, 0.0),
+                    "router {r} key {key} diverged"
+                );
+            }
+            let status = cluster
+                .router(r)
+                .router()
+                .metrics()
+                .nodes
+                .into_iter()
+                .find(|n| n.id == "node-1")
+                .expect("node-1 row");
+            assert_eq!(status.addr, new_addr, "router {r}");
+            assert!(status.up && status.served > 0, "router {r}: {status:?}");
+        }
+    }
+
+    #[test]
+    fn tenant_requests_ride_through_the_router_to_a_tenanted_node() {
+        use fluid_serve::{TenancyConfig, TenantClass, TenantPolicy};
+        let (net, spec) = model();
+        let mut cfg = fast_cfg();
+        cfg.serve.tenancy = Some(TenancyConfig::new(vec![
+            TenantPolicy::new(7, "web", TenantClass::Interactive),
+            TenantPolicy::new(8, "etl", TenantClass::Batch),
+        ]));
+        let cluster = DynamicCluster::boot(&net, &spec, cfg).expect("boot");
+        assert!(cluster.wait_converged(Duration::from_secs(10)));
+        let router = cluster.router(0).router();
+        let x = x(6);
+        let mut oracle = net.clone();
+        let expected = oracle.forward_subnet(&x, &spec, false);
+        for tenant in [7u64, 8] {
+            let got = router.infer_tenant(tenant, &x).expect("tenant infer");
+            assert!(got.allclose(&expected, 0.0), "tenant {tenant} diverged");
+        }
+        // A tenant id missing from every node's table is an explicit
+        // end-to-end reject, not a timeout or a silent default.
+        match router.infer_tenant(99, &x).expect_err("unknown tenant") {
+            ServeError::Rejected(reason) => assert!(reason.contains("99"), "{reason}"),
+            other => panic!("expected Rejected, got {other}"),
+        }
+    }
+
+    #[test]
+    fn rolling_swap_behind_two_routers_changes_the_model_with_zero_refusals() {
+        use std::sync::atomic::AtomicUsize;
+        let (net, spec) = model();
+        let cfg = DynamicClusterConfig {
+            nodes: 3,
+            ..fast_cfg()
+        };
+        let mut cluster = DynamicCluster::boot(&net, &spec, cfg).expect("boot");
+        assert!(cluster.wait_converged(Duration::from_secs(10)));
+        let x = x(4);
+        let replacement = FluidModel::new(Arch::tiny_28(), &mut Prng::new(77));
+        let new_spec = replacement.spec("combined100").expect("spec").clone();
+        let mut oracle = replacement.net().clone();
+        let expected = oracle.forward_subnet(&x, &new_spec, false);
+
+        // Closed-loop traffic on both routers for the whole swap.
+        let addrs = cluster.router_addrs().to_vec();
+        let stop = AtomicBool::new(false);
+        let answered = AtomicUsize::new(0);
+        let (swapped, traffic) = std::thread::scope(|s| {
+            let threads: Vec<_> = addrs
+                .iter()
+                .map(|addr| {
+                    let (stop, answered, x) = (&stop, &answered, &x);
+                    s.spawn(move || {
+                        let mut client = TcpClient::connect(addr).expect("connect");
+                        let (mut ok, mut refused) = (0usize, 0usize);
+                        for key in 0u64.. {
+                            if stop.load(Ordering::SeqCst) {
+                                break;
+                            }
+                            match client.infer_keyed(key, x) {
+                                Ok(_) => ok += 1,
+                                Err(_) => refused += 1,
+                            }
+                            answered.fetch_add(1, Ordering::SeqCst);
+                        }
+                        (ok, refused)
+                    })
+                })
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while answered.load(Ordering::SeqCst) < 20 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let swapped = cluster.rolling_swap(
+                replacement.net(),
+                &new_spec,
+                Duration::from_secs(5),
+                Duration::from_secs(5),
+            );
+            stop.store(true, Ordering::SeqCst);
+            let traffic: Vec<(usize, usize)> = threads
+                .into_iter()
+                .map(|t| t.join().expect("traffic thread"))
+                .collect();
+            (swapped, traffic)
+        });
+        assert_eq!(swapped.expect("rolling swap"), 3);
+        for (r, &(ok, refused)) in traffic.iter().enumerate() {
+            assert!(ok > 0, "router {r} carried no traffic");
+            assert_eq!(refused, 0, "router {r} refused during the swap");
+        }
+
+        for r in 0..cluster.routers_len() {
+            let router = cluster.router(r).router();
+            for key in 0..12u64 {
+                let got = router.infer(key, &x).expect("post-swap infer");
+                assert!(
+                    got.allclose(&expected, 0.0),
+                    "router {r} key {key} not on the new model"
+                );
+            }
+            let m = router.metrics();
+            assert_eq!(m.nodes.len(), 3);
+            assert!(
+                m.nodes.iter().all(|n| !n.cordoned),
+                "swap must uncordon every node on router {r}"
+            );
+        }
     }
 }

@@ -1,25 +1,28 @@
-//! The cluster chaos drill: open-loop Poisson traffic against a
-//! [`LocalCluster`] while a chaos thread kills and restarts nodes and
-//! rolls a hot swap across the cluster — with every accepted answer
-//! checked bit-identically against a single-node oracle.
+//! The cluster drill: open-loop Poisson traffic through the router list
+//! of a [`DynamicCluster`] while a scripted chaos thread crashes,
+//! restarts, joins and removes nodes, kills routers and rolls a hot swap
+//! across the cluster — under a seeded fault plan, with every accepted
+//! answer checked bit-identically against a single-process oracle.
 //!
 //! The drill's contract is the cluster tier's contract:
 //!
-//! * **Zero admitted requests dropped** — a request the router admits is
+//! * **Zero admitted requests dropped** — a request some router admits is
 //!   either answered with logits or (under pathological overlap of
 //!   failures) refused *explicitly*; the drill counts those downstream
 //!   refusals separately so a passing run can require exactly zero.
-//! * **Bit-identical logits** — replication, retry, restart, and the
-//!   rolling swap must never change an answer: every completion is
+//! * **Bit-identical logits** — replication, retry, restart, gossip and
+//!   the rolling swap must never change an answer: every completion is
 //!   compared `allclose(·, 0.0)` against `forward_subnet` on an oracle
 //!   copy of the model.
-//! * **Disruptions are sequential** — with `replication = 2` the cluster
-//!   tolerates one unavailable node at a time, so kill/restart cycles
-//!   finish before the rolling swap begins (a real operator would hold a
-//!   rollout during an incident, too).
+//! * **Convergence** — after the run, the surviving routers agree on the
+//!   final membership and see every running node healthy.
+//!
+//! Disruptions must fit the replication: [`DrillConfig::check`] refuses a
+//! script that ever takes `replication` nodes out of service at once, and
+//! a rolling swap waits out an active partition (a real operator would
+//! hold a rollout during an incident, too).
 
 use crate::cluster::{DynamicCluster, DynamicClusterConfig};
-use crate::node::LocalCluster;
 use crate::router::{RouterConfig, RouterMetrics};
 use fluid_dist::{FaultPlan, FaultReport, FaultSpec, PartitionWindow};
 use fluid_models::{ConvNet, SubnetSpec};
@@ -28,17 +31,43 @@ use fluid_serve::{ServeConfig, ServeError, TcpClient};
 use fluid_tensor::{Prng, Tensor};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Shape of one chaos drill run.
+/// One scripted chaos action. Node indices count every node ever booted
+/// (`node-{i}`), so a [`JoinNode`](DrillEvent::JoinNode) makes the next
+/// index valid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DrillEvent {
+    /// Abruptly kill node `i`: no Leave, the routers find out from
+    /// failed traffic.
+    CrashNode(usize),
+    /// Restart node `i` on a fresh port; the routers learn the new
+    /// address from its announcements.
+    RestartNode(usize),
+    /// Boot one more node; the routers learn it from its announcements.
+    JoinNode,
+    /// Gracefully remove node `i` (it says Leave first).
+    LeaveNode(usize),
+    /// Kill router `i`; clients ride through by retrying across the
+    /// router list.
+    KillRouter(usize),
+    /// Roll a hot swap across every running node (same weights — a
+    /// rolling rebuild, so answers stay bit-identical).
+    RollingSwap,
+}
+
+/// Shape of one drill run: the cluster, the traffic, the fault draws and
+/// the chaos script.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct DrillConfig {
-    /// Serve nodes to boot.
+    /// Serve nodes to boot (announced, not statically wired).
     pub nodes: usize,
     /// Engine workers per node.
     pub workers_per_node: usize,
-    /// Replicas per shard (must be ≥ 2 for the drill to survive a kill).
+    /// Routers to boot (front-end each, gossip when there are peers).
+    pub routers: usize,
+    /// Replicas per shard.
     pub replication: usize,
     /// Poisson arrival rate, requests/s.
     pub lambda: f64,
@@ -46,37 +75,148 @@ pub struct DrillConfig {
     pub requests: usize,
     /// Concurrent submitter threads draining the arrival process.
     pub concurrency: usize,
-    /// Kill → restart cycles the chaos thread performs (round-robin over
-    /// the nodes) before the rolling swap.
-    pub kill_cycles: usize,
-    /// Pause between chaos actions (also the warmup before the first
-    /// kill).
-    pub kill_pause: Duration,
-    /// Whether to finish the drill with one rolling hot swap across the
-    /// cluster (same weights — a rolling "rebuild", so answers stay
-    /// bit-identical).
-    pub rolling_swap: bool,
-    /// Seed for inputs and the arrival process.
+    /// Chaos actions, run in order by the chaos thread.
+    pub script: Vec<DrillEvent>,
+    /// Pause before each script event (the first one is the warmup).
+    pub pause: Duration,
+    /// Partition window `(from, to)` severing every router's links to
+    /// `node-0`, measured from traffic start. It heals on schedule.
+    pub partition: Option<(Duration, Duration)>,
+    /// Probability a router→node message is silently dropped (surfaces
+    /// upstream as a reply deadline, then a retry on the replica).
+    pub drop_p: f64,
+    /// Probability a router→node message is delivered twice (the reply
+    /// matcher must not be confused by the echo).
+    pub duplicate_p: f64,
+    /// Seed for inputs, arrivals, gossip schedules, and the fault plan —
+    /// one seed replays the whole run, faults included.
     pub seed: u64,
     /// Per-node serving configuration.
     pub serve: ServeConfig,
 }
 
 impl Default for DrillConfig {
+    /// Three nodes behind two routers, one crash/restart cycle then a
+    /// rolling swap, no injected faults.
     fn default() -> DrillConfig {
         DrillConfig {
             nodes: 3,
             workers_per_node: 1,
+            routers: 2,
             replication: 2,
             lambda: 150.0,
             requests: 300,
             concurrency: 16,
-            kill_cycles: 1,
-            kill_pause: Duration::from_millis(150),
-            rolling_swap: true,
+            script: vec![
+                DrillEvent::CrashNode(0),
+                DrillEvent::RestartNode(0),
+                DrillEvent::RollingSwap,
+            ],
+            pause: Duration::from_millis(150),
+            partition: None,
+            drop_p: 0.0,
+            duplicate_p: 0.0,
             seed: 42,
             serve: ServeConfig::default(),
         }
+    }
+}
+
+/// A [`DrillConfig`] the drill refuses to run: a precondition on the
+/// named field does not hold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DrillConfigError {
+    /// The offending [`DrillConfig`] field.
+    pub field: &'static str,
+    /// Why the value is refused.
+    pub reason: String,
+}
+
+impl std::fmt::Display for DrillConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for DrillConfigError {}
+
+impl DrillConfig {
+    /// The drill's preconditions: a real cluster and real traffic,
+    /// probabilities in `[0, 1]`, script indices that name booted nodes
+    /// and routers, at least one router left alive, and never
+    /// `replication` nodes out of service at once. Out of service counts
+    /// crashed nodes not yet restarted, `node-0` when a partition is set,
+    /// and the node a rolling swap has cordoned (a swap waits out the
+    /// partition).
+    ///
+    /// # Errors
+    ///
+    /// The first violated precondition.
+    pub fn check(&self) -> Result<(), DrillConfigError> {
+        let refuse = |field, reason: String| Err(DrillConfigError { field, reason });
+        if self.nodes < 2 {
+            return refuse("nodes", "a drill needs at least 2 nodes".into());
+        }
+        if self.routers == 0 {
+            return refuse("routers", "a drill needs a router".into());
+        }
+        if !(self.lambda.is_finite() && self.lambda > 0.0) {
+            return refuse("lambda", format!("must be positive, got {}", self.lambda));
+        }
+        if self.requests == 0 || self.concurrency == 0 {
+            return refuse("requests", "a drill needs traffic and a submitter".into());
+        }
+        for (field, p) in [("drop_p", self.drop_p), ("duplicate_p", self.duplicate_p)] {
+            if !(0.0..=1.0).contains(&p) {
+                return refuse(field, format!("must be a probability in [0, 1], got {p}"));
+            }
+        }
+        let mut booted = self.nodes;
+        let mut crashed: Vec<usize> = Vec::new();
+        let mut killed_routers: Vec<usize> = Vec::new();
+        let severed = self.partition.is_some();
+        let mut worst = usize::from(severed);
+        for &event in &self.script {
+            let named = match event {
+                DrillEvent::CrashNode(i)
+                | DrillEvent::RestartNode(i)
+                | DrillEvent::LeaveNode(i) => i < booted,
+                DrillEvent::KillRouter(i) => i < self.routers,
+                DrillEvent::JoinNode | DrillEvent::RollingSwap => true,
+            };
+            if !named {
+                return refuse("script", format!("{event:?} names nothing that was booted"));
+            }
+            match event {
+                DrillEvent::CrashNode(i) if !crashed.contains(&i) => crashed.push(i),
+                DrillEvent::RestartNode(i) => crashed.retain(|&n| n != i),
+                DrillEvent::JoinNode => booted += 1,
+                DrillEvent::KillRouter(i) if !killed_routers.contains(&i) => killed_routers.push(i),
+                _ => {}
+            }
+            worst = worst.max(if event == DrillEvent::RollingSwap {
+                crashed.len() + 1
+            } else {
+                crashed.len() + usize::from(severed && !crashed.contains(&0))
+            });
+        }
+        if killed_routers.len() >= self.routers {
+            return refuse(
+                "routers",
+                "killing every router (or the only one) is guaranteed unavailability".into(),
+            );
+        }
+        if worst >= self.replication {
+            return refuse(
+                "replication",
+                format!(
+                    "{worst} node(s) out of service at once at replication {} is guaranteed \
+                     data loss",
+                    self.replication
+                ),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -87,28 +227,44 @@ pub struct DrillReport {
     pub loadgen: LoadgenReport,
     /// Completions whose logits differed from the oracle (must be 0).
     pub mismatched: usize,
-    /// Requests admitted by the router but then refused — every error
-    /// other than admission-control [`ServeError::Overloaded`] (must be 0
-    /// for a passing drill).
+    /// Requests some router admitted but then refused downstream after
+    /// the client exhausted its retries — every error other than
+    /// admission-control [`ServeError::Overloaded`] (must be 0).
     pub rejected_downstream: usize,
-    /// Nodes the chaos thread killed.
+    /// Nodes crashed.
     pub kills: usize,
-    /// Nodes the chaos thread restarted (fresh port, router repointed).
+    /// Nodes restarted (fresh port, re-announced).
     pub restarts: usize,
-    /// Nodes the rolling swap replaced in place.
+    /// Nodes joined mid-run.
+    pub joins: usize,
+    /// Nodes that left gracefully mid-run.
+    pub leaves: usize,
+    /// Routers killed mid-run.
+    pub router_kills: usize,
+    /// Nodes the rolling swaps replaced in place.
     pub swaps: usize,
-    /// Router counters and per-node status at the end of the run.
-    pub router: RouterMetrics,
+    /// What the fault plan's links actually did.
+    pub faults: FaultReport,
+    /// Whether the surviving routers re-converged after the run.
+    pub converged: bool,
+    /// Requests the post-run settling trickle sent straight to the
+    /// routers and got answered (router-side `served` counts include
+    /// them).
+    pub settled: usize,
+    /// Final counters of every surviving router.
+    pub routers: Vec<RouterMetrics>,
 }
 
 impl DrillReport {
-    /// Whether the drill met the cluster tier's contract: every arrival
-    /// accounted for, nothing admitted was dropped or refused downstream,
-    /// and every answer matched the oracle.
+    /// Whether the run met the drill's contract: every arrival accounted
+    /// for, zero admitted requests dropped or refused downstream, every
+    /// answer bit-identical to the oracle, and the surviving routers
+    /// agreeing on the final membership.
     pub fn passed(&self) -> bool {
         self.loadgen.failed == 0
             && self.rejected_downstream == 0
             && self.mismatched == 0
+            && self.converged
             && self.loadgen.completed + self.loadgen.shed == self.loadgen.submitted
     }
 }
@@ -129,274 +285,14 @@ impl std::fmt::Display for DrillReport {
         )?;
         writeln!(
             f,
-            "chaos: kills {} | restarts {} | rolling swaps {} | achieved {:.1} req/s",
-            self.kills, self.restarts, self.swaps, self.loadgen.achieved_rps
-        )?;
-        write!(f, "{}", self.router)
-    }
-}
-
-/// Runs one chaos drill: boot, load, kill, restart, roll, verify.
-///
-/// The whole cluster lives in this process; the only network involved is
-/// loopback TCP, so the drill is deterministic enough for CI (the arrival
-/// process and inputs are seeded; thread interleaving varies, but the
-/// *contract* — zero drops, zero mismatches — must hold under every
-/// interleaving).
-///
-/// # Errors
-///
-/// Infrastructure failures only (boot, restart, or swap machinery);
-/// per-request failures are *reported*, not returned, so a failing drill
-/// comes back as a [`DrillReport`] whose [`passed`](DrillReport::passed)
-/// is false.
-///
-/// # Panics
-///
-/// If the config asks for zero nodes, a zero arrival rate, or
-/// `replication < 2` with chaos enabled (the drill would be guaranteed to
-/// drop requests, which is a configuration error, not a finding).
-pub fn run_drill(
-    net: &ConvNet,
-    spec: &SubnetSpec,
-    cfg: DrillConfig,
-) -> Result<DrillReport, ServeError> {
-    assert!(cfg.nodes >= 2, "a cluster drill needs at least 2 nodes");
-    assert!(
-        cfg.replication >= 2 || cfg.kill_cycles == 0,
-        "killing nodes at replication 1 is guaranteed data loss"
-    );
-    assert!(cfg.lambda > 0.0 && cfg.requests > 0 && cfg.concurrency > 0);
-
-    // Deterministic inputs and their single-node oracle answers.
-    let arch = net.arch();
-    let dims = [1, arch.image_channels, arch.image_side, arch.image_side];
-    let mut rng = Prng::new(cfg.seed);
-    let inputs: Vec<Tensor> = (0..16)
-        .map(|_| Tensor::from_fn(&dims, |_| rng.next_f32()))
-        .collect();
-    let mut oracle = net.clone();
-    let expected: Vec<Tensor> = inputs
-        .iter()
-        .map(|x| oracle.forward_subnet(x, spec, false))
-        .collect();
-
-    let router_cfg = RouterConfig {
-        replication: cfg.replication,
-        connect_timeout: Duration::from_millis(250),
-        request_timeout: Duration::from_secs(5),
-        probe_backoff: Duration::from_millis(50),
-        ..RouterConfig::default()
-    };
-    let mut cluster = LocalCluster::boot(
-        net,
-        spec,
-        cfg.nodes,
-        cfg.workers_per_node,
-        cfg.serve.clone(),
-        router_cfg,
-    )?;
-    let router = cluster.router().clone();
-
-    let mismatched = AtomicUsize::new(0);
-    let rejected_downstream = AtomicUsize::new(0);
-
-    let (loadgen, chaos) = std::thread::scope(|scope| {
-        // Chaos owns the cluster; traffic goes through the shared router.
-        let chaos = scope.spawn(|| -> Result<(usize, usize, usize), ServeError> {
-            let (mut kills, mut restarts, mut swaps) = (0, 0, 0);
-            std::thread::sleep(cfg.kill_pause); // let traffic build up
-            for cycle in 0..cfg.kill_cycles {
-                let victim = cycle % cfg.nodes;
-                cluster.kill_node(victim);
-                kills += 1;
-                std::thread::sleep(cfg.kill_pause);
-                cluster.restart_node(victim)?;
-                restarts += 1;
-                std::thread::sleep(cfg.kill_pause);
-            }
-            if cfg.rolling_swap {
-                // Same weights: a rolling rebuild. Bit-identical answers
-                // stay provable while every node is replaced in place.
-                swaps = cluster.rolling_swap(
-                    net,
-                    spec,
-                    Duration::from_secs(10),
-                    Duration::from_secs(10),
-                )?;
-            }
-            Ok((kills, restarts, swaps))
-        });
-
-        let loadgen = run_open_loop_indexed(
-            |k| {
-                let x = &inputs[k % inputs.len()];
-                match router.infer(k as u64, x) {
-                    Ok(got) => {
-                        if !got.allclose(&expected[k % expected.len()], 0.0) {
-                            mismatched.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(got)
-                    }
-                    Err(e) => {
-                        if !matches!(e, ServeError::Overloaded { .. }) {
-                            rejected_downstream.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e)
-                    }
-                }
-            },
-            cfg.concurrency,
-            cfg.lambda,
-            cfg.requests,
-            cfg.seed,
-        );
-        let chaos = chaos
-            .join()
-            .unwrap_or_else(|_| Err(ServeError::Elastic("chaos thread panicked".into())));
-        (loadgen, chaos)
-    });
-    let (kills, restarts, swaps) = chaos?;
-
-    Ok(DrillReport {
-        loadgen,
-        mismatched: mismatched.into_inner(),
-        rejected_downstream: rejected_downstream.into_inner(),
-        kills,
-        restarts,
-        swaps,
-        router: router.metrics(),
-    })
-}
-
-/// Shape of one membership drill run: dynamic membership + replicated
-/// routers + deterministic fault injection, all at once.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct MembershipDrillConfig {
-    /// Serve nodes to boot (announced, not statically wired).
-    pub nodes: usize,
-    /// Engine workers per node.
-    pub workers_per_node: usize,
-    /// Routers to boot (front-end + gossip each). Must be ≥ 2 when
-    /// `kill_router` is set.
-    pub routers: usize,
-    /// Replicas per shard (must be ≥ 2 — the drill partitions a node).
-    pub replication: usize,
-    /// Poisson arrival rate, requests/s.
-    pub lambda: f64,
-    /// Total arrivals to generate.
-    pub requests: usize,
-    /// Concurrent submitter threads draining the arrival process.
-    pub concurrency: usize,
-    /// Kill one router (the last one) mid-run; clients must ride through
-    /// by retrying across the router list.
-    pub kill_router: bool,
-    /// Boot one extra node mid-run; routers must learn it from its
-    /// announcements alone.
-    pub join_node: bool,
-    /// Partition window `(from, to)` severing every router's links to
-    /// `node-0`, measured from traffic start. Replication must cover the
-    /// window; it heals on schedule.
-    pub partition: Option<(Duration, Duration)>,
-    /// Probability a router→node message is silently dropped (surfaces
-    /// upstream as a reply deadline, then a retry on the replica).
-    pub drop_p: f64,
-    /// Probability a router→node message is delivered twice (the reply
-    /// matcher must not be confused by the echo).
-    pub duplicate_p: f64,
-    /// Pause before the first chaos action, and between actions.
-    pub chaos_pause: Duration,
-    /// Gossip cadence between routers.
-    pub gossip_interval: Duration,
-    /// Node heartbeat cadence.
-    pub announce_interval: Duration,
-    /// Seed for inputs, arrivals, gossip schedules, and the fault plan —
-    /// one seed replays the whole run, faults included.
-    pub seed: u64,
-    /// Per-node serving configuration.
-    pub serve: ServeConfig,
-}
-
-impl Default for MembershipDrillConfig {
-    fn default() -> MembershipDrillConfig {
-        MembershipDrillConfig {
-            nodes: 3,
-            workers_per_node: 1,
-            routers: 2,
-            replication: 2,
-            lambda: 120.0,
-            requests: 240,
-            concurrency: 12,
-            kill_router: true,
-            join_node: true,
-            partition: Some((Duration::from_millis(300), Duration::from_millis(2300))),
-            drop_p: 0.02,
-            duplicate_p: 0.02,
-            chaos_pause: Duration::from_millis(200),
-            gossip_interval: Duration::from_millis(100),
-            announce_interval: Duration::from_millis(100),
-            seed: 42,
-            serve: ServeConfig::default(),
-        }
-    }
-}
-
-/// What one membership drill run did and observed.
-#[derive(Debug, Clone)]
-pub struct MembershipDrillReport {
-    /// The traffic ledger: submitted / completed / shed / failed.
-    pub loadgen: LoadgenReport,
-    /// Completions whose logits differed from the oracle (must be 0).
-    pub mismatched: usize,
-    /// Requests some router admitted but then refused downstream after
-    /// the client exhausted its retries (must be 0 for a passing drill).
-    pub rejected_downstream: usize,
-    /// Routers killed mid-run.
-    pub router_kills: usize,
-    /// Nodes joined mid-run.
-    pub joins: usize,
-    /// What the fault plan's links actually did.
-    pub faults: FaultReport,
-    /// Whether the surviving routers re-converged after the run.
-    pub converged: bool,
-    /// Final counters of every surviving router.
-    pub routers: Vec<RouterMetrics>,
-}
-
-impl MembershipDrillReport {
-    /// Whether the run met the drill's contract: every arrival accounted
-    /// for, zero admitted requests dropped or refused downstream, every
-    /// answer bit-identical to the oracle, and the surviving routers
-    /// agreeing on the final membership.
-    pub fn passed(&self) -> bool {
-        self.loadgen.failed == 0
-            && self.rejected_downstream == 0
-            && self.mismatched == 0
-            && self.converged
-            && self.loadgen.completed + self.loadgen.shed == self.loadgen.submitted
-    }
-}
-
-impl std::fmt::Display for MembershipDrillReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "membership drill: {} | submitted {} | completed {} | shed {} | failed {} | \
-             mismatched {} | downstream rejects {}",
-            if self.passed() { "PASS" } else { "FAIL" },
-            self.loadgen.submitted,
-            self.loadgen.completed,
-            self.loadgen.shed,
-            self.loadgen.failed,
-            self.mismatched,
-            self.rejected_downstream
-        )?;
-        writeln!(
-            f,
-            "chaos: router kills {} | joins {} | converged {} | achieved {:.1} req/s",
-            self.router_kills,
+            "chaos: kills {} | restarts {} | joins {} | leaves {} | router kills {} | \
+             rolling swaps {} | converged {} | achieved {:.1} req/s",
+            self.kills,
+            self.restarts,
             self.joins,
+            self.leaves,
+            self.router_kills,
+            self.swaps,
             if self.converged { "yes" } else { "NO" },
             self.loadgen.achieved_rps
         )?;
@@ -465,43 +361,46 @@ fn submit_via_routers(
     Err(last.unwrap_or(ServeError::NoWorkers))
 }
 
-/// Runs one membership drill: boot a [`DynamicCluster`], converge, arm a
-/// seeded [`FaultPlan`] on every router, then drive open-loop Poisson
-/// traffic through the router list while the chaos thread kills a
-/// router and joins a node — and the plan severs `node-0` for a window.
+/// Sleeps until `when` (no-op once it has passed).
+fn sleep_until(when: Instant) {
+    let now = Instant::now();
+    if when > now {
+        std::thread::sleep(when - now);
+    }
+}
+
+/// Runs one drill: boot a [`DynamicCluster`], converge, arm a seeded
+/// [`FaultPlan`] on every router, then drive open-loop Poisson traffic
+/// through the router list while the chaos thread plays the script —
+/// and the plan drops, duplicates, and severs `node-0` for its window.
+/// After the traffic, a light settling trickle lets every router re-probe
+/// the healed nodes before convergence is judged.
 ///
-/// Every completion is checked bit-identically against a single-process
-/// oracle; the same seed replays the same inputs, arrivals, gossip
-/// schedule, and fault schedule.
+/// The whole cluster lives in this process; the only network is loopback
+/// TCP. The same seed replays the same inputs, arrivals, gossip schedule
+/// and fault schedule; thread interleaving varies, but the *contract* —
+/// zero drops, zero mismatches — must hold under every interleaving.
 ///
 /// # Errors
 ///
-/// Infrastructure failures only (boot or join machinery); per-request
-/// failures are *reported*, so a failing drill comes back as a
-/// [`MembershipDrillReport`] whose
-/// [`passed`](MembershipDrillReport::passed) is false.
+/// Infrastructure failures only (boot, convergence before traffic,
+/// restart, join, or swap machinery); per-request failures are
+/// *reported*, so a failing drill comes back as a [`DrillReport`] whose
+/// [`passed`](DrillReport::passed) is false.
 ///
 /// # Panics
 ///
-/// If the config asks for chaos its redundancy cannot cover: killing a
-/// router with fewer than two routers, partitioning at `replication < 2`,
-/// zero nodes, or a non-positive arrival rate. Also if the cluster does
-/// not converge within 30 s of boot (the drill would be measuring noise).
-pub fn run_membership_drill(
+/// If [`DrillConfig::check`] refuses the config (the drill would be
+/// guaranteed to drop requests, which is a configuration error, not a
+/// finding).
+pub fn run_drill(
     net: &ConvNet,
     spec: &SubnetSpec,
-    cfg: MembershipDrillConfig,
-) -> Result<MembershipDrillReport, ServeError> {
-    assert!(cfg.nodes >= 2, "a membership drill needs at least 2 nodes");
-    assert!(
-        cfg.routers >= 2 || !cfg.kill_router,
-        "killing the only router is guaranteed unavailability"
-    );
-    assert!(
-        cfg.replication >= 2 || cfg.partition.is_none(),
-        "partitioning a node at replication 1 is guaranteed data loss"
-    );
-    assert!(cfg.lambda > 0.0 && cfg.requests > 0 && cfg.concurrency > 0);
+    cfg: DrillConfig,
+) -> Result<DrillReport, ServeError> {
+    if let Err(e) = cfg.check() {
+        panic!("invalid drill config: {e}");
+    }
 
     // Deterministic inputs and their single-process oracle answers.
     let arch = net.arch();
@@ -532,16 +431,15 @@ pub fn run_membership_drill(
             probe_backoff: Duration::from_millis(50),
             ..RouterConfig::default()
         },
-        gossip_interval: cfg.gossip_interval,
-        announce_interval: cfg.announce_interval,
         seed: cfg.seed,
         ..DynamicClusterConfig::default()
     };
     let mut cluster = DynamicCluster::boot(net, spec, cluster_cfg)?;
-    assert!(
-        cluster.wait_converged(Duration::from_secs(30)),
-        "cluster never converged before traffic"
-    );
+    if !cluster.wait_converged(Duration::from_secs(30)) {
+        return Err(ServeError::Elastic(
+            "cluster never converged before traffic".into(),
+        ));
+    }
 
     // One shared fault plan (clones share schedule, clock, counters):
     // every router's node links draw from it, and the partition window is
@@ -574,22 +472,63 @@ pub fn run_membership_drill(
     let mismatched = AtomicUsize::new(0);
     let rejected_downstream = AtomicUsize::new(0);
     let pool: Mutex<Vec<ClientSet>> = Mutex::new(Vec::new());
+    let mut report = DrillReport {
+        loadgen: LoadgenReport::default(),
+        mismatched: 0,
+        rejected_downstream: 0,
+        kills: 0,
+        restarts: 0,
+        joins: 0,
+        leaves: 0,
+        router_kills: 0,
+        swaps: 0,
+        faults: plan.report(),
+        converged: false,
+        settled: 0,
+        routers: Vec::new(),
+    };
 
-    plan.arm(); // the partition clock starts with the traffic
+    // The partition clock starts with the traffic.
+    let healed = cfg.partition.map(|(_, to)| Instant::now() + to);
+    plan.arm();
     let (loadgen, chaos) = std::thread::scope(|scope| {
-        let chaos = scope.spawn(|| -> Result<(usize, usize), ServeError> {
-            let (mut kills, mut joins) = (0, 0);
-            std::thread::sleep(cfg.chaos_pause); // let traffic build up
-            if cfg.kill_router {
-                cluster.kill_router(cfg.routers - 1);
-                kills += 1;
-                std::thread::sleep(cfg.chaos_pause);
+        let chaos = scope.spawn(|| -> Result<(), ServeError> {
+            let r = &mut report;
+            for &event in &cfg.script {
+                std::thread::sleep(cfg.pause);
+                match event {
+                    DrillEvent::CrashNode(i) => {
+                        cluster.crash_node(i);
+                        r.kills += 1;
+                    }
+                    DrillEvent::RestartNode(i) => {
+                        cluster.restart_node(i)?;
+                        r.restarts += 1;
+                    }
+                    DrillEvent::JoinNode => {
+                        cluster.join_node()?;
+                        r.joins += 1;
+                    }
+                    DrillEvent::LeaveNode(i) => {
+                        cluster.leave_node(i);
+                        r.leaves += 1;
+                    }
+                    DrillEvent::KillRouter(i) => {
+                        cluster.kill_router(i);
+                        r.router_kills += 1;
+                    }
+                    DrillEvent::RollingSwap => {
+                        // Replication covers one unavailable node: hold
+                        // the rollout until the partition heals.
+                        if let Some(healed) = healed {
+                            sleep_until(healed);
+                        }
+                        let timeout = Duration::from_secs(10);
+                        r.swaps += cluster.rolling_swap(net, spec, timeout, timeout)?;
+                    }
+                }
             }
-            if cfg.join_node {
-                cluster.join_node()?;
-                joins += 1;
-            }
-            Ok((kills, joins))
+            Ok(())
         });
 
         let loadgen = run_open_loop_indexed(
@@ -632,57 +571,45 @@ pub fn run_membership_drill(
             .unwrap_or_else(|_| Err(ServeError::Elastic("chaos thread panicked".into())));
         (loadgen, chaos)
     });
-    let (router_kills, joins) = chaos?;
+    chaos?;
 
     // Let the partition heal before judging convergence.
-    if let Some((_, to)) = cfg.partition {
-        let elapsed = Duration::from_secs_f64(loadgen.elapsed_s);
-        if elapsed < to {
-            std::thread::sleep(to - elapsed);
-        }
+    if let Some(healed) = healed {
+        sleep_until(healed);
     }
     // Health is passive — a marked-down node only comes back when a
     // request probes it — so drive a light settling trickle through the
     // survivors until every router has re-probed the healed nodes (or the
     // timeout names the failure). Heartbeats keep the probes expedited;
     // the trickle is what executes them.
-    let converged = {
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        let mut key = 0u64;
-        loop {
-            if cluster.wait_converged(Duration::from_millis(100)) {
-                break true;
-            }
-            if std::time::Instant::now() >= deadline {
-                break false;
-            }
-            for r in 0..cluster.routers_len() {
-                if !cluster.router(r).is_up() {
-                    continue;
-                }
-                let router = cluster.router(r).router();
-                for _ in 0..8 {
-                    let _ = router.infer(key, &inputs[key as usize % inputs.len()]);
-                    key += 1;
-                }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut key = 0u64;
+    report.converged = loop {
+        if cluster.wait_converged(Duration::from_millis(100)) {
+            break true;
+        }
+        if Instant::now() >= deadline {
+            break false;
+        }
+        for r in (0..cluster.routers_len()).filter(|&r| cluster.router(r).is_up()) {
+            let router = cluster.router(r).router();
+            for _ in 0..8 {
+                let x = &inputs[key as usize % inputs.len()];
+                report.settled += usize::from(router.infer(key, x).is_ok());
+                key += 1;
             }
         }
     };
 
-    let routers = (0..cluster.routers_len())
+    report.routers = (0..cluster.routers_len())
         .filter(|&r| cluster.router(r).is_up())
         .map(|r| cluster.router(r).router().metrics())
         .collect();
-    Ok(MembershipDrillReport {
-        loadgen,
-        mismatched: mismatched.into_inner(),
-        rejected_downstream: rejected_downstream.into_inner(),
-        router_kills,
-        joins,
-        faults: plan.report(),
-        converged,
-        routers,
-    })
+    report.loadgen = loadgen;
+    report.mismatched = mismatched.into_inner();
+    report.rejected_downstream = rejected_downstream.into_inner();
+    report.faults = plan.report();
+    Ok(report)
 }
 
 /// Locks the client pool, recovering from a poisoned lock (a panicked
@@ -696,90 +623,106 @@ mod tests {
     use super::*;
     use fluid_models::{Arch, FluidModel};
 
-    #[test]
-    fn quiet_drill_without_chaos_is_clean() {
-        // Sanity for the harness itself: no kills, no swap — nothing may
-        // be shed, refused, or mismatched.
+    fn model() -> (ConvNet, SubnetSpec) {
         let model = FluidModel::new(Arch::tiny_28(), &mut Prng::new(3));
         let spec = model.spec("combined100").expect("spec").clone();
+        (model.net().clone(), spec)
+    }
+
+    #[test]
+    fn quiet_drill_without_chaos_is_clean() {
+        // Harness sanity: announced membership + 2 routers + benign plan,
+        // empty script — nothing may be shed, refused, or mismatched.
+        let (net, spec) = model();
         let cfg = DrillConfig {
             nodes: 2,
             lambda: 80.0,
             requests: 40,
             concurrency: 8,
-            kill_cycles: 0,
-            rolling_swap: false,
+            script: Vec::new(),
             ..DrillConfig::default()
         };
-        let report = run_drill(model.net(), &spec, cfg).expect("drill");
+        let report = run_drill(&net, &spec, cfg).expect("drill");
         assert!(report.passed(), "quiet drill failed:\n{report}");
         assert_eq!(report.loadgen.completed, 40, "{report}");
-        assert_eq!(report.kills + report.restarts + report.swaps, 0);
+        assert_eq!(report.routers.len(), 2, "{report}");
+        assert_eq!(
+            report.kills + report.restarts + report.joins + report.leaves,
+            0
+        );
+        assert_eq!(report.router_kills + report.swaps, 0);
+        let text = report.to_string();
+        assert!(text.contains("PASS"), "{text}");
+        assert!(text.contains("kills 0"), "{text}");
     }
 
     #[test]
     #[should_panic(expected = "guaranteed data loss")]
     fn killing_at_replication_one_is_refused() {
-        let model = FluidModel::new(Arch::tiny_28(), &mut Prng::new(3));
-        let spec = model.spec("combined100").expect("spec").clone();
+        let (net, spec) = model();
         let cfg = DrillConfig {
             replication: 1,
             ..DrillConfig::default()
         };
-        let _ = run_drill(model.net(), &spec, cfg);
-    }
-
-    #[test]
-    fn quiet_membership_drill_without_chaos_is_clean() {
-        // Harness sanity: announced membership + 2 routers + benign plan,
-        // no kill/join/partition — nothing may fail or mismatch.
-        let model = FluidModel::new(Arch::tiny_28(), &mut Prng::new(3));
-        let spec = model.spec("combined100").expect("spec").clone();
-        let cfg = MembershipDrillConfig {
-            nodes: 2,
-            lambda: 60.0,
-            requests: 30,
-            concurrency: 6,
-            kill_router: false,
-            join_node: false,
-            partition: None,
-            drop_p: 0.0,
-            duplicate_p: 0.0,
-            ..MembershipDrillConfig::default()
-        };
-        let report = run_membership_drill(model.net(), &spec, cfg).expect("drill");
-        assert!(report.passed(), "quiet membership drill failed:\n{report}");
-        assert_eq!(report.loadgen.completed, 30, "{report}");
-        assert_eq!(report.router_kills + report.joins, 0);
+        let _ = run_drill(&net, &spec, cfg);
     }
 
     #[test]
     #[should_panic(expected = "guaranteed unavailability")]
     fn killing_the_only_router_is_refused() {
-        let model = FluidModel::new(Arch::tiny_28(), &mut Prng::new(3));
-        let spec = model.spec("combined100").expect("spec").clone();
-        let cfg = MembershipDrillConfig {
+        let (net, spec) = model();
+        let cfg = DrillConfig {
             routers: 1,
-            ..MembershipDrillConfig::default()
+            script: vec![DrillEvent::KillRouter(0)],
+            ..DrillConfig::default()
         };
-        let _ = run_membership_drill(model.net(), &spec, cfg);
+        let _ = run_drill(&net, &spec, cfg);
     }
 
     #[test]
-    fn report_display_names_the_verdict() {
-        let model = FluidModel::new(Arch::tiny_28(), &mut Prng::new(3));
-        let spec = model.spec("combined100").expect("spec").clone();
-        let cfg = DrillConfig {
-            nodes: 2,
-            lambda: 100.0,
-            requests: 10,
-            kill_cycles: 0,
-            rolling_swap: false,
+    fn check_counts_nodes_out_of_service_at_once() {
+        use DrillEvent::*;
+        let field = |script: Vec<DrillEvent>, partition: bool| {
+            DrillConfig {
+                script,
+                partition: partition.then_some((Duration::ZERO, Duration::from_secs(1))),
+                ..DrillConfig::default()
+            }
+            .check()
+            .err()
+            .map(|e| e.field)
+        };
+        // One node out at a time fits replication 2.
+        assert_eq!(
+            field(vec![CrashNode(0), RestartNode(0), CrashNode(1)], false),
+            None
+        );
+        assert_eq!(
+            field(vec![CrashNode(0), CrashNode(1)], false),
+            Some("replication")
+        );
+        // The partitioned node may crash; another node may not.
+        assert_eq!(field(vec![CrashNode(0)], true), None);
+        assert_eq!(field(vec![CrashNode(1)], true), Some("replication"));
+        // A swap waits out the partition, but not a crashed node.
+        assert_eq!(field(vec![RollingSwap], true), None);
+        assert_eq!(
+            field(vec![CrashNode(2), RollingSwap], false),
+            Some("replication")
+        );
+        // Indices must name something booted; a join makes one more.
+        assert_eq!(field(vec![CrashNode(3)], false), Some("script"));
+        assert_eq!(field(vec![JoinNode, LeaveNode(3)], false), None);
+        assert_eq!(field(vec![KillRouter(2)], false), Some("script"));
+        assert_eq!(
+            field(vec![KillRouter(0), KillRouter(1)], false),
+            Some("routers")
+        );
+
+        let bad_p = DrillConfig {
+            drop_p: 1.5,
             ..DrillConfig::default()
         };
-        let report = run_drill(model.net(), &spec, cfg).expect("drill");
-        let text = report.to_string();
-        assert!(text.contains("PASS") || text.contains("FAIL"));
-        assert!(text.contains("kills 0"));
+        assert_eq!(bad_p.check().map_err(|e| e.field), Err("drop_p"));
     }
 }

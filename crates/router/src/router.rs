@@ -351,14 +351,14 @@ impl std::fmt::Display for RouterMetrics {
 ///
 /// Cheap to clone (an [`Arc`] inside); clones share all state, so the TCP
 /// front-end's per-connection threads, the gossip driver, and an
-/// in-process orchestrator (the drill, `LocalCluster::rolling_swap`)
+/// in-process orchestrator (the drill, `DynamicCluster::rolling_swap`)
 /// observe one consistent cluster view.
 ///
-/// Membership is dynamic: start from a static list ([`Router::new`]) or
-/// empty ([`Router::new_dynamic`]) and let nodes announce themselves —
-/// [`join`](Router::join), [`leave`](Router::leave),
-/// [`node_heartbeat`](Router::node_heartbeat) are what the wire frames
-/// call into.
+/// Membership is dynamic: a router starts empty ([`Router::new`]) and
+/// nodes announce themselves — [`join`](Router::join),
+/// [`leave`](Router::leave), [`node_heartbeat`](Router::node_heartbeat)
+/// are what the wire frames call into. A static cluster is just nodes
+/// that joined at boot.
 ///
 /// # Example
 ///
@@ -375,10 +375,8 @@ impl std::fmt::Display for RouterMetrics {
 /// let spec = model.spec("combined100").unwrap().clone();
 /// let mut node =
 ///     ServeNode::spawn("n0", model.net(), &spec, 1, ServeConfig::default()).unwrap();
-/// let router = Router::new(
-///     RouterConfig::default(),
-///     vec![("n0".to_string(), node.addr().to_string())],
-/// );
+/// let router = Router::new(RouterConfig::default());
+/// router.join("n0", node.addr());
 /// let logits = router.infer(7, &Tensor::zeros(&[1, 1, 28, 28])).unwrap();
 /// assert_eq!(logits.dims(), &[1, 10]);
 /// assert_eq!(router.metrics().completed, 1);
@@ -390,41 +388,6 @@ pub struct Router {
 }
 
 impl Router {
-    /// Builds a router over a static starting membership of `nodes`
-    /// (`(id, addr)` pairs), at epoch 1. Nodes may still join and leave
-    /// afterwards.
-    ///
-    /// # Panics
-    ///
-    /// If `nodes` is empty (use [`Router::new_dynamic`] for an empty
-    /// start), node ids repeat, or the config's shard / replication /
-    /// admission counts are zero.
-    pub fn new(cfg: RouterConfig, nodes: Vec<(String, String)>) -> Router {
-        assert!(!nodes.is_empty(), "router needs at least one node");
-        let ids: Vec<String> = nodes.iter().map(|(id, _)| id.clone()).collect();
-        {
-            let mut dedup = ids.clone();
-            dedup.sort();
-            dedup.dedup();
-            assert_eq!(dedup.len(), ids.len(), "node ids must be unique");
-        }
-        let router = Router::new_dynamic(cfg);
-        {
-            let mut m = write_lock(&router.inner.membership);
-            m.epoch = 1;
-            m.records = nodes
-                .into_iter()
-                .map(|(id, addr)| MemberRecord {
-                    entry: Arc::new(NodeEntry::new(&id, &addr, HealthState::Up)),
-                    alive: true,
-                    version: 1,
-                })
-                .collect();
-            m.rebuild(&router.inner.cfg);
-        }
-        router
-    }
-
     /// Builds a router with an **empty** membership table (epoch 0): every
     /// member arrives by announcement — [`join`](Router::join) /
     /// [`node_heartbeat`](Router::node_heartbeat) over the wire — or by
@@ -434,7 +397,7 @@ impl Router {
     /// # Panics
     ///
     /// If the config's shard / replication / admission counts are zero.
-    pub fn new_dynamic(cfg: RouterConfig) -> Router {
+    pub fn new(cfg: RouterConfig) -> Router {
         assert!(cfg.admit_per_node > 0, "admit_per_node must be >= 1");
         assert!(cfg.shards > 0, "shards must be >= 1");
         assert!(cfg.replication > 0, "replication must be >= 1");
@@ -1080,40 +1043,6 @@ impl Router {
         Ok(self.living_entry(id)?.in_flight.load(Ordering::SeqCst))
     }
 
-    /// Points a node id at a new address (a restarted node binds a fresh
-    /// ephemeral port). A membership change: bumps the epoch and the
-    /// record's version so gossip propagates the new address. Pooled
-    /// connections to the old address are dropped and the node is made
-    /// immediately due for a probe, so the next request to its shards
-    /// re-establishes contact without waiting out a backoff window.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Elastic`] when no living node has this id.
-    pub fn update_addr(&self, id: &str, addr: &str) -> Result<(), ServeError> {
-        let mut m = write_lock(&self.inner.membership);
-        let i = m
-            .records
-            .iter()
-            .position(|r| r.alive && r.entry.id == id)
-            .ok_or_else(|| ServeError::Elastic(format!("unknown node {id}")))?;
-        m.epoch += 1;
-        let epoch = m.epoch;
-        let backoff = self.inner.cfg.probe_backoff;
-        let r = &mut m.records[i];
-        r.version = epoch;
-        *lock(&r.entry.addr) = addr.to_string();
-        lock(&r.entry.pool).clear();
-        let now = Instant::now();
-        r.entry.transition(|st| {
-            *st = HealthState::Down {
-                until: now,
-                backoff,
-            };
-        });
-        Ok(())
-    }
-
     /// Snapshots counters, the latency window, and per-node status.
     pub fn metrics(&self) -> RouterMetrics {
         let inner = &self.inner;
@@ -1292,11 +1221,14 @@ fn route_connection(
 mod tests {
     use super::*;
 
-    fn dead_nodes(n: usize) -> Vec<(String, String)> {
-        // Port 1 refuses connections immediately on loopback.
-        (0..n)
-            .map(|i| (format!("n{i}"), "127.0.0.1:1".to_string()))
-            .collect()
+    /// A router whose `n` members (`n0` …) joined at port 1, which
+    /// refuses connections immediately on loopback.
+    fn dead_router(cfg: RouterConfig, n: usize) -> Router {
+        let router = Router::new(cfg);
+        for i in 0..n {
+            router.join(&format!("n{i}"), "127.0.0.1:1");
+        }
+        router
     }
 
     fn fast_cfg() -> RouterConfig {
@@ -1316,7 +1248,7 @@ mod tests {
 
     #[test]
     fn all_replicas_dead_is_a_verdict_not_a_hang() {
-        let router = Router::new(fast_cfg(), dead_nodes(3));
+        let router = dead_router(fast_cfg(), 3);
         let t0 = Instant::now();
         let err = router
             .infer(1, &Tensor::zeros(&[1, 1, 28, 28]))
@@ -1331,7 +1263,7 @@ mod tests {
 
     #[test]
     fn downed_replicas_make_the_shard_unroutable_until_probe_time() {
-        let router = Router::new(fast_cfg(), dead_nodes(3));
+        let router = dead_router(fast_cfg(), 3);
         // First request marks this shard's replicas down…
         let _ = router.infer(1, &Tensor::zeros(&[1, 1, 28, 28]));
         // …so an immediate retry of the same key finds no candidate at all
@@ -1356,7 +1288,7 @@ mod tests {
 
     #[test]
     fn cordoning_every_node_refuses_without_trying() {
-        let router = Router::new(fast_cfg(), dead_nodes(2));
+        let router = dead_router(fast_cfg(), 2);
         router.cordon("n0").expect("cordon n0");
         router.cordon("n1").expect("cordon n1");
         let err = router
@@ -1374,7 +1306,7 @@ mod tests {
     fn admission_cap_sheds_per_shard_before_dialing_anyone() {
         let mut cfg = fast_cfg();
         cfg.admit_per_node = 1;
-        let router = Router::new(cfg, dead_nodes(1));
+        let router = dead_router(cfg, 1);
         // Hold the key's shard slot by parking a gauge manually.
         let shard = shard_of(&router, 3);
         router.inner.shard_pending[shard].fetch_add(1, Ordering::SeqCst);
@@ -1408,7 +1340,7 @@ mod tests {
         cfg.admit_per_node = 1;
         cfg.peer_depth_ttl = Duration::from_millis(80);
         let shards = cfg.shards;
-        let router = Router::new(cfg, dead_nodes(1));
+        let router = dead_router(cfg, 1);
         // A peer router reports every one of its shards saturated.
         let _ = router.merge_gossip(&Message::Gossip {
             from: "router-9".into(),
@@ -1433,7 +1365,7 @@ mod tests {
 
     #[test]
     fn join_leave_bump_the_epoch_and_rebuild_the_map() {
-        let router = Router::new_dynamic(fast_cfg());
+        let router = Router::new(fast_cfg());
         assert_eq!(router.membership_epoch(), 0);
         assert!(router.member_ids().is_empty());
         // Requests before any member: a verdict, not a panic.
@@ -1461,7 +1393,7 @@ mod tests {
 
     #[test]
     fn heartbeat_is_an_implicit_join_and_refreshes_depth() {
-        let router = Router::new_dynamic(fast_cfg());
+        let router = Router::new(fast_cfg());
         let epoch = router.node_heartbeat("n7", "127.0.0.1:1", 5);
         assert_eq!(epoch, 1, "unknown node's heartbeat joins it");
         assert_eq!(router.member_ids(), vec!["n7"]);
@@ -1477,11 +1409,11 @@ mod tests {
 
     #[test]
     fn gossip_propagates_members_health_and_tombstones() {
-        let a = Router::new_dynamic(RouterConfig {
+        let a = Router::new(RouterConfig {
             id: "router-a".into(),
             ..fast_cfg()
         });
-        let b = Router::new_dynamic(RouterConfig {
+        let b = Router::new(RouterConfig {
             id: "router-b".into(),
             ..fast_cfg()
         });
@@ -1514,7 +1446,7 @@ mod tests {
 
     #[test]
     fn own_digest_and_non_gossip_messages_merge_nothing() {
-        let router = Router::new_dynamic(fast_cfg());
+        let router = Router::new(fast_cfg());
         router.join("n0", "127.0.0.1:1");
         let epoch = router.membership_epoch();
         let own = router.gossip_digest();
@@ -1526,11 +1458,10 @@ mod tests {
 
     #[test]
     fn unknown_node_ids_are_elastic_errors() {
-        let router = Router::new(fast_cfg(), dead_nodes(1));
+        let router = dead_router(fast_cfg(), 1);
         for result in [
             router.cordon("ghost"),
             router.uncordon("ghost"),
-            router.update_addr("ghost", "127.0.0.1:2"),
             router.node_in_flight("ghost").map(|_| ()),
         ] {
             assert!(matches!(result, Err(ServeError::Elastic(_))));
@@ -1538,21 +1469,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node ids must be unique")]
-    fn duplicate_node_ids_panic() {
-        let mut nodes = dead_nodes(1);
-        nodes.push(nodes[0].clone());
-        let _ = Router::new(RouterConfig::default(), nodes);
-    }
-
-    #[test]
     fn metrics_display_mentions_every_node_and_the_epoch() {
-        let router = Router::new(fast_cfg(), dead_nodes(3));
+        let router = dead_router(fast_cfg(), 3);
         let text = router.metrics().to_string();
         for id in ["n0", "n1", "n2"] {
             assert!(text.contains(id), "missing {id} in:\n{text}");
         }
         assert!(text.contains("p95"));
-        assert!(text.contains("epoch 1"));
+        // One epoch per join.
+        assert!(text.contains("epoch 3"));
     }
 }

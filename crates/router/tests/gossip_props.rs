@@ -68,7 +68,7 @@ proptest! {
             .map(|i| {
                 let mut cfg = RouterConfig::default();
                 cfg.id = format!("router-{i}");
-                Router::new_dynamic(cfg)
+                Router::new(cfg)
             })
             .collect();
         let node_id = |n: u8| format!("node-{}", n % 6);

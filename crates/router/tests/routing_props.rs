@@ -18,7 +18,7 @@ fn dyn_router(shards: usize, replication: usize) -> Router {
     let mut cfg = RouterConfig::default();
     cfg.shards = shards;
     cfg.replication = replication;
-    Router::new_dynamic(cfg)
+    Router::new(cfg)
 }
 
 proptest! {

@@ -41,7 +41,7 @@
 //!   requests (the "Elasticity" section of `docs/SERVING.md`).
 //! * **Load generation** ([`loadgen`]): closed-loop and open-loop-Poisson
 //!   drivers over the workspace's deterministic RNG, including the
-//!   closure-driven open loop the cluster tier's chaos drill runs.
+//!   closure-driven open loop the cluster tier's drill runs.
 //! * **Remote serving** ([`serve_tcp`], [`TcpClient`]): the existing wire
 //!   protocol (`Infer`/`Logits`) plus [`Message::Reject`] for shed
 //!   requests.

@@ -12,8 +12,8 @@
 //!   that actually exercises backpressure and shedding. Two flavours:
 //!   [`run_open_loop`] submits tickets to an in-proc [`ServerHandle`];
 //!   [`run_open_loop_indexed`] drives any blocking submit closure from a
-//!   submitter pool — the driver the cluster chaos drill
-//!   (`fluid_router::run_drill`) runs against the sharding router.
+//!   submitter pool — the driver the cluster drill
+//!   (`fluid_router::run_drill`) runs through the router list.
 
 use crate::error::ServeError;
 use crate::server::ServerHandle;
@@ -42,7 +42,7 @@ impl InferClient for ServerHandle {
 ///
 /// `shed` counts explicit [`ServeError::Overloaded`] /
 /// [`ServeError::Rejected`] verdicts; `failed` is every other error.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadgenReport {
     /// Requests the generator attempted.
     pub submitted: usize,
