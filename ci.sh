@@ -24,7 +24,10 @@
 # (tests/tests/fairness.rs): a flooding batch tenant vs an interactive
 # SLO, explicit per-tenant quota verdicts, DRR weight proportionality
 # under saturation, and sim-vs-live policy-ranking agreement — pinned to
-# one kernel thread and a wall-clock budget like the drill.
+# one kernel thread and a wall-clock budget like the drill. It then runs
+# the offline policy simulators' unit tests (crates/serve/src/sim.rs),
+# which board through the live DRR assembler: an outsized-weight flood
+# must not starve a light tenant there either.
 #
 # The drill stage runs the cluster drill's chaos script
 # (tests/tests/cluster.rs) over a fixed seed set: a 3-node serving
@@ -148,6 +151,8 @@ stage_fairness() {
     # thread, generous wall-clock budget, loud failure on a hang.
     FLUID_THREADS=1 timeout 300 \
         cargo test -q -p fluid-integration-tests --test fairness
+    FLUID_THREADS=1 timeout 300 \
+        cargo test -q -p fluid-serve --lib sim
 }
 
 stage_bench() {

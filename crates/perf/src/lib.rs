@@ -24,25 +24,32 @@
 //! is then **derived**, not fitted — reproducing the paper's headline
 //! ratios (HT ≈ 2.5× Static, ≈ 2× Dynamic) is a consequence of the
 //! structure, which is the point of the reproduction.
+//!
+//! ## Discrete-event simulators
+//!
+//! * [`simulate`] — the paper's two-device runtime switching between HA
+//!   and HT modes under Poisson load.
+//! * [`simulate_cluster`] — keyed traffic through routers onto
+//!   replicated serve nodes, with node and router outages.
+//!
+//! The serving-policy simulators (`simulate_tenants`, `simulate_elastic`)
+//! live in `fluid-serve`, beside the DRR scheduler, token bucket and
+//! autoscaler rule they run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod comm;
 mod device;
-mod elastic;
 mod energy;
 mod queueing;
 mod scenario;
-mod tenants;
 
 pub use comm::CommModel;
 pub use device::DeviceModel;
-pub use elastic::{simulate_elastic, ElasticPolicy, ElasticSimReport};
 pub use energy::{scenario_energy, standalone_energy, EnergyReport, PowerModel};
 pub use queueing::{
     percentile, simulate, simulate_cluster, ClusterScenario, ClusterSimReport, NodeOutage, Policy,
     RouterOutage, SampleWindow, SimReport,
 };
 pub use scenario::{DeviceAvailability, Fig2Row, ModelFamily, ScenarioResult, SystemModel};
-pub use tenants::{simulate_tenants, SimTenant, TenantDiscipline, TenantSimReport, TenantSimRow};

@@ -188,8 +188,7 @@ pub fn simulate(
     let mut arrivals = Vec::new();
     let mut t = 0.0f64;
     loop {
-        // Exponential inter-arrival.
-        t += -(1.0 - rng.next_f64()).ln() / lambda;
+        t += rng.exponential(lambda);
         if t > duration_s {
             break;
         }
@@ -463,7 +462,7 @@ pub fn simulate_cluster(scenario: &ClusterScenario, seed: u64) -> ClusterSimRepo
     let mut retried = 0usize;
     let mut t = 0.0f64;
     loop {
-        t += -(1.0 - rng.next_f64()).ln() / scenario.lambda;
+        t += rng.exponential(scenario.lambda);
         if t > scenario.duration_s {
             break;
         }

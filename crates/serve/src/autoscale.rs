@@ -20,9 +20,10 @@
 //!   waiting for the cooldown.
 //!
 //! Every decision is recorded as a [`ScaleEvent`], so tests and
-//! operators can audit exactly why capacity moved. The same watermark
-//! rules are simulated offline by `fluid_perf::simulate_elastic`, which
-//! is how the knobs here were chosen.
+//! operators can audit exactly why capacity moved. The decision itself is
+//! one pure rule over one observation, with no threads or clocks; the
+//! offline simulator [`simulate_elastic`](crate::simulate_elastic) ticks
+//! the same rule, which is how the knobs here were chosen.
 
 use crate::backend::Backend;
 use crate::error::ServeError;
@@ -111,7 +112,7 @@ impl Default for AutoscaleConfig {
 }
 
 impl AutoscaleConfig {
-    fn validate(&self) -> Result<(), ServeError> {
+    pub(crate) fn validate(&self) -> Result<(), ServeError> {
         if self.min_workers == 0 {
             return Err(ServeError::BadInput(
                 "min_workers must be at least 1".into(),
@@ -291,12 +292,92 @@ impl Drop for Autoscaler {
 }
 
 /// One controller observation: everything a decision is based on.
-struct Observation {
-    queue_depth: usize,
-    shed_delta: u64,
-    recent_p95_ms: f64,
-    recent_samples: usize,
-    alive: usize,
+#[derive(Debug, Clone)]
+pub(crate) struct Observation {
+    pub(crate) queue_depth: usize,
+    pub(crate) shed_delta: u64,
+    pub(crate) recent_p95_ms: f64,
+    pub(crate) recent_samples: usize,
+    pub(crate) alive: usize,
+}
+
+/// What the [`ScaleRule`] decided at one tick.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Decision {
+    /// Leave the pool as it is.
+    Hold,
+    /// Add one worker, for the logged reason.
+    Up(String),
+    /// Retire one worker after this many consecutive calm ticks.
+    Down(usize),
+}
+
+/// The controller's decision rule: self-heal below the floor, cooldown
+/// after any action, scale up on a hot tick, retire after a calm streak.
+/// Pure — no threads, no clocks — so the live controller and
+/// [`simulate_elastic`](crate::simulate_elastic) run the same rule.
+#[derive(Debug, Default)]
+pub(crate) struct ScaleRule {
+    calm_ticks: usize,
+    cooldown: usize,
+}
+
+impl ScaleRule {
+    /// Decides one tick. The decision's state change (cooldown, streak
+    /// reset) holds whether or not the caller manages to carry it out.
+    pub(crate) fn decide(&mut self, cfg: &AutoscaleConfig, obs: &Observation) -> Decision {
+        // Self-heal below the floor, cooldown or not: a dead worker must
+        // not leave the pool under-provisioned for `cooldown_ticks`.
+        if obs.alive < cfg.min_workers {
+            self.cooldown = cfg.cooldown_ticks;
+            self.calm_ticks = 0;
+            return Decision::Up(format!(
+                "{} accepting workers below min {}",
+                obs.alive, cfg.min_workers
+            ));
+        }
+        if self.cooldown > 0 {
+            self.cooldown -= 1;
+            return Decision::Hold;
+        }
+
+        let latency_hot =
+            cfg.up_p95_ms > 0.0 && obs.recent_samples > 0 && obs.recent_p95_ms > cfg.up_p95_ms;
+        let hot = obs.queue_depth >= cfg.up_queue_depth || obs.shed_delta > 0 || latency_hot;
+        if hot {
+            self.calm_ticks = 0;
+            if obs.alive >= cfg.max_workers {
+                return Decision::Hold;
+            }
+            self.cooldown = cfg.cooldown_ticks;
+            return Decision::Up(if obs.shed_delta > 0 {
+                format!("{} requests shed since last tick", obs.shed_delta)
+            } else if obs.queue_depth >= cfg.up_queue_depth {
+                format!(
+                    "queue depth {} at high-water mark {}",
+                    obs.queue_depth, cfg.up_queue_depth
+                )
+            } else {
+                format!(
+                    "recent p95 {:.1}ms over target {:.1}ms",
+                    obs.recent_p95_ms, cfg.up_p95_ms
+                )
+            });
+        }
+
+        let calm = obs.queue_depth <= cfg.down_queue_depth && obs.shed_delta == 0;
+        if !calm {
+            self.calm_ticks = 0;
+            return Decision::Hold;
+        }
+        self.calm_ticks += 1;
+        if self.calm_ticks >= cfg.idle_ticks && obs.alive > cfg.min_workers {
+            let streak = std::mem::take(&mut self.calm_ticks);
+            self.cooldown = cfg.cooldown_ticks;
+            return Decision::Down(streak);
+        }
+        Decision::Hold
+    }
 }
 
 fn controller_loop<F: BackendFactory>(
@@ -308,8 +389,7 @@ fn controller_loop<F: BackendFactory>(
 ) {
     let t0 = Instant::now();
     let mut last_shed = elastic.metrics().shed;
-    let mut calm_ticks = 0usize;
-    let mut cooldown = 0usize;
+    let mut rule = ScaleRule::default();
     while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(cfg.tick);
         if stop.load(Ordering::SeqCst) {
@@ -327,65 +407,10 @@ fn controller_loop<F: BackendFactory>(
             recent_samples: recent.len(),
             alive: elastic.alive_workers(),
         };
-
-        // Self-heal below the floor, cooldown or not: a dead worker must
-        // not leave the pool under-provisioned for `cooldown_ticks`.
-        if obs.alive < cfg.min_workers {
-            scale_up(
-                elastic,
-                &mut factory,
-                events,
-                t0,
-                &obs,
-                format!(
-                    "{} accepting workers below min {}",
-                    obs.alive, cfg.min_workers
-                ),
-            );
-            cooldown = cfg.cooldown_ticks;
-            calm_ticks = 0;
-            continue;
-        }
-        if cooldown > 0 {
-            cooldown -= 1;
-            continue;
-        }
-
-        let latency_hot =
-            cfg.up_p95_ms > 0.0 && obs.recent_samples > 0 && obs.recent_p95_ms > cfg.up_p95_ms;
-        let hot = obs.queue_depth >= cfg.up_queue_depth || obs.shed_delta > 0 || latency_hot;
-        if hot {
-            calm_ticks = 0;
-            if obs.alive < cfg.max_workers {
-                let reason = if obs.shed_delta > 0 {
-                    format!("{} requests shed since last tick", obs.shed_delta)
-                } else if obs.queue_depth >= cfg.up_queue_depth {
-                    format!(
-                        "queue depth {} at high-water mark {}",
-                        obs.queue_depth, cfg.up_queue_depth
-                    )
-                } else {
-                    format!(
-                        "recent p95 {:.1}ms over target {:.1}ms",
-                        obs.recent_p95_ms, cfg.up_p95_ms
-                    )
-                };
-                scale_up(elastic, &mut factory, events, t0, &obs, reason);
-                cooldown = cfg.cooldown_ticks;
-            }
-            continue;
-        }
-
-        let calm = obs.queue_depth <= cfg.down_queue_depth && obs.shed_delta == 0;
-        if !calm {
-            calm_ticks = 0;
-            continue;
-        }
-        calm_ticks += 1;
-        if calm_ticks >= cfg.idle_ticks && obs.alive > cfg.min_workers {
-            scale_down(elastic, cfg, events, t0, calm_ticks);
-            cooldown = cfg.cooldown_ticks;
-            calm_ticks = 0;
+        match rule.decide(cfg, &obs) {
+            Decision::Hold => {}
+            Decision::Up(reason) => scale_up(elastic, &mut factory, events, t0, &obs, reason),
+            Decision::Down(calm_ticks) => scale_down(elastic, cfg, events, t0, calm_ticks),
         }
     }
 }
@@ -522,6 +547,128 @@ mod tests {
                 net.clone(),
                 spec.clone(),
             )) as Box<dyn Backend>)
+        }
+    }
+
+    #[test]
+    fn scale_rule_table() {
+        // Floor 1, ceiling 3, hot at queue depth 8, calm at ≤ 1, retire
+        // after 2 calm ticks, 1 tick of cooldown after any action.
+        let base = AutoscaleConfig {
+            max_workers: 3,
+            idle_ticks: 2,
+            cooldown_ticks: 1,
+            ..AutoscaleConfig::default()
+        };
+        let p95 = AutoscaleConfig {
+            up_p95_ms: 50.0,
+            ..base.clone()
+        };
+        let floor2 = AutoscaleConfig {
+            min_workers: 2,
+            cooldown_ticks: 5,
+            ..base.clone()
+        };
+        // (queue depth, shed since last tick, recent p95 ms, recent samples, alive)
+        let o = |queue_depth, shed_delta, recent_p95_ms, recent_samples, alive| Observation {
+            queue_depth,
+            shed_delta,
+            recent_p95_ms,
+            recent_samples,
+            alive,
+        };
+        let cases = [
+            (
+                "latency trigger",
+                &p95,
+                vec![(
+                    o(0, 0, 60.0, 5, 1),
+                    "up: recent p95 60.0ms over target 50.0ms",
+                )],
+            ),
+            (
+                "p95 at target is not over",
+                &p95,
+                vec![(o(0, 0, 50.0, 5, 1), "hold")],
+            ),
+            (
+                "up_p95_ms 0.0 switches the latency trigger off",
+                &base,
+                vec![(o(0, 0, 1e6, 5, 1), "hold")],
+            ),
+            (
+                "no samples since the last tick: p95 is not evidence",
+                &p95,
+                vec![(o(0, 0, 60.0, 0, 1), "hold")],
+            ),
+            (
+                "shed trigger, even on a short queue",
+                &base,
+                vec![(o(0, 3, 0.0, 0, 1), "up: 3 requests shed since last tick")],
+            ),
+            (
+                "cooldown suppresses a hot tick",
+                &base,
+                vec![
+                    (o(8, 0, 0.0, 0, 1), "up: queue depth 8 at high-water mark 8"),
+                    (o(9, 0, 0.0, 0, 2), "hold"),
+                    (o(9, 0, 0.0, 0, 2), "up: queue depth 9"),
+                ],
+            ),
+            (
+                "self-heal below min_workers bypasses the cooldown",
+                &floor2,
+                vec![
+                    (o(8, 0, 0.0, 0, 2), "up: queue depth 8"),
+                    (o(0, 0, 0.0, 0, 1), "up: 1 accepting workers below min 2"),
+                    (o(0, 0, 0.0, 0, 1), "up: 1 accepting workers below min 2"),
+                ],
+            ),
+            (
+                "a non-calm tick resets the calm streak",
+                &base,
+                vec![
+                    (o(0, 0, 0.0, 0, 2), "hold"),
+                    (o(4, 0, 0.0, 0, 2), "hold"),
+                    (o(1, 0, 0.0, 0, 2), "hold"),
+                    (o(0, 0, 0.0, 0, 2), "down after 2"),
+                    (o(0, 0, 0.0, 0, 1), "hold"), // cooldown
+                ],
+            ),
+            (
+                "no scale-up at max_workers, and the hot tick breaks the streak",
+                &base,
+                vec![
+                    (o(0, 0, 0.0, 0, 3), "hold"),
+                    (o(8, 0, 0.0, 0, 3), "hold"),
+                    (o(0, 0, 0.0, 0, 3), "hold"),
+                    (o(0, 0, 0.0, 0, 3), "down after 2"),
+                ],
+            ),
+            (
+                "no retire at min_workers",
+                &base,
+                vec![
+                    (o(0, 0, 0.0, 0, 1), "hold"),
+                    (o(0, 0, 0.0, 0, 1), "hold"),
+                    (o(0, 0, 0.0, 0, 1), "hold"),
+                    (o(0, 0, 0.0, 0, 1), "hold"),
+                ],
+            ),
+        ];
+        for (name, cfg, ticks) in &cases {
+            let mut rule = ScaleRule::default();
+            for (tick, (obs, want)) in ticks.iter().enumerate() {
+                let got = match rule.decide(cfg, obs) {
+                    Decision::Hold => "hold".to_string(),
+                    Decision::Up(reason) => format!("up: {reason}"),
+                    Decision::Down(calm) => format!("down after {calm}"),
+                };
+                assert!(
+                    got.starts_with(want),
+                    "{name}, tick {tick}: got {got:?}, want {want:?}"
+                );
+            }
         }
     }
 

@@ -96,6 +96,7 @@ pub mod loadgen;
 mod metrics;
 mod sched;
 mod server;
+mod sim;
 mod tcp;
 
 pub use announce::{AnnounceConfig, Announcer};
@@ -106,4 +107,8 @@ pub use loadgen::{InferClient, LoadgenReport, TenantLoad};
 pub use metrics::{ServeMetrics, TenantMetric, WorkerMetric};
 pub use sched::{adaptive_wait, DrrState, TenancyConfig, TenantClass, TenantPolicy, TokenBucket};
 pub use server::{ElasticHandle, ServeConfig, Server, ServerHandle, Ticket};
+pub use sim::{
+    simulate_elastic, simulate_tenants, ElasticSimReport, TenantDiscipline, TenantSimReport,
+    TenantSimRow,
+};
 pub use tcp::{serve_tcp, TcpClient};

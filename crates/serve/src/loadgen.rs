@@ -240,8 +240,7 @@ pub fn run_open_loop(
     // accumulate into a rate below the requested lambda.
     let mut next_arrival_s = 0.0f64;
     for k in 0..requests {
-        // Exponential inter-arrival, same draw as perf::queueing::simulate.
-        next_arrival_s += -(1.0 - rng.next_f64()).ln() / lambda;
+        next_arrival_s += rng.exponential(lambda);
         let due = t0 + Duration::from_secs_f64(next_arrival_s);
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(wait);
@@ -306,7 +305,7 @@ pub fn run_open_loop_tenants(
                     let mut tickets = Vec::new();
                     let mut next_arrival_s = 0.0f64;
                     for k in 0..plan.requests {
-                        next_arrival_s += -(1.0 - rng.next_f64()).ln() / plan.lambda;
+                        next_arrival_s += rng.exponential(plan.lambda);
                         let due = t0 + Duration::from_secs_f64(next_arrival_s);
                         if let Some(wait) = due.checked_duration_since(Instant::now()) {
                             std::thread::sleep(wait);
@@ -412,7 +411,7 @@ where
         let mut rng = Prng::new(seed);
         let mut next_arrival_s = 0.0f64;
         for k in 0..requests {
-            next_arrival_s += -(1.0 - rng.next_f64()).ln() / lambda;
+            next_arrival_s += rng.exponential(lambda);
             let due = t0 + Duration::from_secs_f64(next_arrival_s);
             if let Some(wait) = due.checked_duration_since(Instant::now()) {
                 std::thread::sleep(wait);

@@ -3,14 +3,15 @@
 //! SLO-driven adaptive batching windows.
 //!
 //! This module is the *policy core* — pure data structures with no threads
-//! and no clocks of their own (callers pass `Instant`s in), so every rule
-//! the live scheduler enforces is unit-testable in isolation and replayable
-//! offline by `fluid_perf::simulate_tenants`. The live wiring lives in
+//! and no clocks of their own (callers pass the time in), so every rule the
+//! live scheduler enforces is unit-testable in isolation, and the offline
+//! simulator [`simulate_tenants`](crate::simulate_tenants) runs the very
+//! same ring order, token bucket and DRR assembly. The live wiring lives in
 //! `server.rs`; the adversarial proof lives in `tests/tests/fairness.rs`
 //! and the DRR proptests in `crates/serve/tests/drr_props.rs`.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A tenant's scheduling class.
 ///
@@ -182,36 +183,39 @@ impl TenancyConfig {
 /// A token bucket metering one tenant's admissions: refills continuously at
 /// `rate` tokens/s up to `burst`, spends one token per admitted request.
 ///
-/// Time is passed in by the caller, so the bucket is deterministic under
-/// test and replayable by the offline simulator.
+/// Time is passed in by the caller as seconds since an epoch of its
+/// choosing (the live server's tenant table counts from its creation,
+/// [`simulate_tenants`](crate::simulate_tenants) from the start of the
+/// simulated run), so the bucket is deterministic under test and the
+/// offline simulator replays exactly the live admission rule.
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
     tokens: f64,
     rate: f64,
     burst: f64,
-    last: Instant,
+    last_s: f64,
 }
 
 impl TokenBucket {
-    /// A bucket that starts full.
-    pub fn new(rate: f64, burst: f64, now: Instant) -> TokenBucket {
+    /// A bucket that starts full at time `now_s`.
+    pub fn new(rate: f64, burst: f64, now_s: f64) -> TokenBucket {
         TokenBucket {
             tokens: burst,
             rate,
             burst,
-            last: now,
+            last_s: now_s,
         }
     }
 
-    /// Refills for the elapsed time, then tries to spend one token.
-    /// Returns whether the request is admitted. An infinite rate always
-    /// admits.
-    pub fn try_take(&mut self, now: Instant) -> bool {
+    /// Refills for the time elapsed up to `now_s` (none if the clock went
+    /// backwards), then tries to spend one token. Returns whether the
+    /// request is admitted. An infinite rate always admits.
+    pub fn try_take(&mut self, now_s: f64) -> bool {
         if self.rate.is_infinite() {
             return true;
         }
-        let dt = now.saturating_duration_since(self.last).as_secs_f64();
-        self.last = now;
+        let dt = (now_s - self.last_s).max(0.0);
+        self.last_s = now_s;
         self.tokens = (self.tokens + dt * self.rate).min(self.burst);
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
@@ -345,6 +349,32 @@ impl DrrState {
             // growing, so within ceil(head_rows/weight) rounds something
             // boards.
         }
+    }
+}
+
+/// The DRR ring a scheduler assembles over: the queue visiting order and
+/// each queue's per-round credit in rows.
+///
+/// With a tenancy table there is one queue per tenant, each credited its
+/// weight, and interactive tenants come first in the ring (their rows
+/// board a forming batch before batch-class rows; ties keep table order).
+/// Without one there is a single anonymous queue whose credit fills a
+/// whole batch every round, so [`DrrState::assemble`] degenerates to the
+/// classic FIFO coalescing.
+pub(crate) fn drr_ring(
+    tenancy: Option<&TenancyConfig>,
+    max_batch: usize,
+) -> (Vec<usize>, Vec<u32>) {
+    match tenancy {
+        Some(t) => {
+            let mut order: Vec<usize> = (0..t.tenants.len()).collect();
+            order.sort_by_key(|&i| t.tenants[i].class != TenantClass::Interactive);
+            (order, t.tenants.iter().map(|p| p.weight).collect())
+        }
+        None => (
+            vec![0],
+            vec![u32::try_from(max_batch).unwrap_or(u32::MAX).max(1)],
+        ),
     }
 }
 
@@ -521,23 +551,35 @@ mod tests {
     }
 
     #[test]
+    fn ring_puts_interactive_first_and_fifo_credit_fills_a_batch() {
+        let mut bulk = TenantPolicy::new(1, "bulk", TenantClass::Batch);
+        bulk.weight = 3;
+        let chat = TenantPolicy::new(2, "chat", TenantClass::Interactive);
+        let more = TenantPolicy::new(3, "more", TenantClass::Batch);
+        let cfg = TenancyConfig::new(vec![bulk, chat, more]);
+        assert_eq!(drr_ring(Some(&cfg), 8), (vec![1, 0, 2], vec![3, 1, 1]));
+        assert_eq!(drr_ring(None, 8), (vec![0], vec![8]));
+        assert_eq!(drr_ring(None, usize::MAX), (vec![0], vec![u32::MAX]));
+    }
+
+    #[test]
     fn token_bucket_meters_and_refills() {
-        let t0 = Instant::now();
-        let mut b = TokenBucket::new(10.0, 2.0, t0);
-        assert!(b.try_take(t0));
-        assert!(b.try_take(t0));
-        assert!(!b.try_take(t0), "burst of 2 exhausted");
+        let mut b = TokenBucket::new(10.0, 2.0, 0.0);
+        assert!(b.try_take(0.0));
+        assert!(b.try_take(0.0));
+        assert!(!b.try_take(0.0), "burst of 2 exhausted");
         // 100 ms at 10 tokens/s refills one token.
-        assert!(b.try_take(t0 + Duration::from_millis(100)));
-        assert!(!b.try_take(t0 + Duration::from_millis(100)));
+        assert!(b.try_take(0.1));
+        assert!(!b.try_take(0.1));
+        // A clock that steps backwards refills nothing.
+        assert!(!b.try_take(0.05));
     }
 
     #[test]
     fn infinite_rate_never_meters() {
-        let t0 = Instant::now();
-        let mut b = TokenBucket::new(f64::INFINITY, f64::INFINITY, t0);
+        let mut b = TokenBucket::new(f64::INFINITY, f64::INFINITY, 0.0);
         for _ in 0..1000 {
-            assert!(b.try_take(t0));
+            assert!(b.try_take(0.0));
         }
     }
 

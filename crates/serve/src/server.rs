@@ -24,7 +24,7 @@
 use crate::backend::{check_batch_shape, Backend};
 use crate::error::ServeError;
 use crate::metrics::{MetricsHub, ServeMetrics};
-use crate::sched::{adaptive_wait, DrrState, TenancyConfig, TenantClass, TokenBucket};
+use crate::sched::{adaptive_wait, drr_ring, DrrState, TenancyConfig, TenantClass, TokenBucket};
 use fluid_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -82,6 +82,24 @@ pub struct ServeConfig {
     /// weighted deficit-round-robin batch assembly and the SLO-adaptive
     /// batching window. See `docs/SERVING.md` § Multi-tenant scheduling.
     pub tenancy: Option<TenancyConfig>,
+}
+
+impl ServeConfig {
+    /// The knob checks [`Server::start`] makes before booting anything.
+    pub(crate) fn validate(&self) -> Result<(), ServeError> {
+        if self.max_batch == 0 || self.queue_cap == 0 {
+            return Err(ServeError::BadInput(
+                "max_batch and queue_cap must be at least 1".into(),
+            ));
+        }
+        if let Some(tenancy) = &self.tenancy {
+            tenancy.validate().map_err(ServeError::BadInput)?;
+        }
+        if self.threads == Some(0) {
+            return Err(ServeError::BadInput("threads must be at least 1".into()));
+        }
+        Ok(())
+    }
 }
 
 impl Default for ServeConfig {
@@ -241,20 +259,22 @@ struct Slot {
 struct TenantTable {
     ids: Vec<u64>,
     names: Vec<String>,
+    /// The buckets' clock reads seconds since this instant.
+    epoch: Instant,
     buckets: Vec<Mutex<TokenBucket>>,
     default_slot: usize,
 }
 
 impl TenantTable {
     fn new(tenancy: &TenancyConfig) -> TenantTable {
-        let now = Instant::now();
         TenantTable {
             ids: tenancy.tenants.iter().map(|t| t.id).collect(),
             names: tenancy.tenants.iter().map(|t| t.name.clone()).collect(),
+            epoch: Instant::now(),
             buckets: tenancy
                 .tenants
                 .iter()
-                .map(|t| Mutex::new(TokenBucket::new(t.rate, t.burst, now)))
+                .map(|t| Mutex::new(TokenBucket::new(t.rate, t.burst, 0.0)))
                 .collect(),
             default_slot: tenancy
                 .tenants
@@ -354,7 +374,7 @@ impl ServerHandle {
             let admitted = t.buckets[tenant]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .try_take(Instant::now());
+                .try_take(t.epoch.elapsed().as_secs_f64());
             if !admitted {
                 self.shared.metrics.record_quota_rejected(tenant);
                 return Err(ServeError::QuotaExhausted {
@@ -497,18 +517,8 @@ impl Server {
         if backends.is_empty() {
             return Err(ServeError::BadInput("no backends".into()));
         }
-        if cfg.max_batch == 0 || cfg.queue_cap == 0 {
-            return Err(ServeError::BadInput(
-                "max_batch and queue_cap must be at least 1".into(),
-            ));
-        }
-        if let Some(tenancy) = &cfg.tenancy {
-            tenancy.validate().map_err(ServeError::BadInput)?;
-        }
+        cfg.validate()?;
         if let Some(threads) = cfg.threads {
-            if threads == 0 {
-                return Err(ServeError::BadInput("threads must be at least 1".into()));
-            }
             fluid_tensor::pool::set_threads(threads);
         }
         let dims = backends[0].input_dims();
@@ -1166,39 +1176,16 @@ fn scheduler_loop(
     metrics: &MetricsHub,
     shutdown: &AtomicBool,
 ) {
-    // One queue per tenant. Without tenancy there is a single anonymous
-    // queue with effectively unbounded DRR credit — the assembly then
-    // degenerates to the classic FIFO coalescing.
-    let (queue_count, order, weights, slo_ms, adaptive) = match &cfg.tenancy {
-        Some(t) => {
-            // Interactive tenants first in the ring: their rows board a
-            // forming batch before batch-class rows.
-            let mut order: Vec<usize> = (0..t.tenants.len()).collect();
-            order.sort_by_key(|&i| match t.tenants[i].class {
-                TenantClass::Interactive => 0,
-                TenantClass::Batch => 1,
-            });
-            let weights: Vec<u32> = t.tenants.iter().map(|p| p.weight).collect();
-            let adaptive = t
-                .tenants
-                .iter()
-                .any(|p| p.class == TenantClass::Interactive);
-            (
-                t.tenants.len(),
-                order,
-                weights,
-                t.interactive_slo_ms,
-                adaptive,
-            )
-        }
-        None => (
-            1,
-            vec![0],
-            vec![u32::try_from(cfg.max_batch).unwrap_or(u32::MAX).max(1)],
-            f64::INFINITY,
-            false,
-        ),
-    };
+    // One queue per tenant, or a single anonymous FIFO without tenancy.
+    let (order, weights) = drr_ring(cfg.tenancy.as_ref(), cfg.max_batch);
+    let queue_count = order.len();
+    let (slo_ms, adaptive) = cfg.tenancy.as_ref().map_or((f64::INFINITY, false), |t| {
+        let interactive = t
+            .tenants
+            .iter()
+            .any(|p| p.class == TenantClass::Interactive);
+        (t.interactive_slo_ms, interactive)
+    });
     let mut queues: Vec<VecDeque<Request>> = (0..queue_count).map(|_| VecDeque::new()).collect();
     let mut drr = DrrState::new(queue_count);
     let mut queued_rows = 0usize;

@@ -97,6 +97,26 @@ impl Prng {
         mean + std * self.normal() as f32
     }
 
+    /// Exponential sample with the given `rate` (mean `1 / rate`) by
+    /// inversion: the inter-arrival gap of a Poisson process at `rate`
+    /// events per unit time. `1 - u` keeps the logarithm's argument in
+    /// `(0, 1]`, so the draw is finite.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use fluid_tensor::Prng;
+    /// let mut rng = Prng::new(7);
+    /// let mut t = 0.0;
+    /// for _ in 0..1000 {
+    ///     t += rng.exponential(50.0); // arrivals at 50 per second
+    /// }
+    /// assert!((t - 20.0).abs() < 2.0, "1000 arrivals took {t}s");
+    /// ```
+    pub fn exponential(&mut self, rate: f64) -> f64 {
+        -(1.0 - self.next_f64()).ln() / rate
+    }
+
     /// `true` with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p

@@ -82,7 +82,7 @@ fn verified_open_loop(
         let t0 = Instant::now();
         let mut next_arrival_s = 0.0f64;
         for k in 0..n {
-            next_arrival_s += -(1.0 - rng.next_f64()).ln() / lambda;
+            next_arrival_s += rng.exponential(lambda);
             let due = t0 + Duration::from_secs_f64(next_arrival_s);
             if let Some(wait) = due.checked_duration_since(Instant::now()) {
                 std::thread::sleep(wait);

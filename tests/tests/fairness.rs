@@ -8,17 +8,16 @@
 //! * an exhausted admission quota is an explicit per-tenant verdict while
 //!   other tenants proceed untouched;
 //! * DRR weights divide a saturated server's throughput proportionally;
-//! * the offline policy model (`fluid_perf::simulate_tenants`) ranks
+//! * the offline policy model (`fluid_serve::simulate_tenants`) ranks
 //!   scheduling disciplines the same way the live server does.
 //!
 //! The backends here are synthetic timed stubs (sleep, then zeros): the
 //! suite is about *queueing* behaviour, so service time must be a knob,
 //! not a property of the conv kernels.
 
-use fluid_perf::{simulate_tenants, SimTenant, TenantDiscipline};
 use fluid_serve::{
-    loadgen, Backend, ServeConfig, ServeError, Server, TenancyConfig, TenantClass, TenantLoad,
-    TenantPolicy,
+    loadgen, simulate_tenants, Backend, ServeConfig, ServeError, Server, TenancyConfig,
+    TenantClass, TenantDiscipline, TenantLoad, TenantPolicy,
 };
 use fluid_tensor::Tensor;
 use std::time::Duration;
@@ -254,34 +253,14 @@ fn offline_simulator_ranks_disciplines_like_the_live_server() {
     // simulator must rank DRR better for interactive p95, and the live
     // DRR result must agree with the simulator's ranking by beating the
     // simulated FIFO too.
-    let sim_tenants = [
-        SimTenant::new("web", true, 40.0),
-        SimTenant::new("etl", false, 400.0),
-    ];
-    // Mirror the live test's shape: 1 server, batch 8, ~20ms + 100µs/row,
-    // which puts the offered 440 req/s past the ~385 req/s capacity.
-    let fifo = simulate_tenants(
-        100e-6,
-        20e-3,
-        1,
-        8,
-        64,
-        TenantDiscipline::GlobalFifo,
-        &sim_tenants,
-        1.5,
-        11,
-    );
-    let drr = simulate_tenants(
-        100e-6,
-        20e-3,
-        1,
-        8,
-        64,
-        TenantDiscipline::WeightedDrr,
-        &sim_tenants,
-        1.5,
-        11,
-    );
+    // One config feeds both: 1 server, batch 8, queue cap 64. The
+    // simulated ~20ms + 100µs/row service mirrors the live backend, which
+    // puts the offered 440 req/s past the ~385 req/s capacity.
+    let cfg = serve_cfg(Some(web_etl(1, 1, 250.0)));
+    let lambdas = [40.0, 400.0];
+    let sim = |discipline| simulate_tenants(&cfg, &lambdas, discipline, 100e-6, 20e-3, 1, 1.5, 11);
+    let fifo = sim(TenantDiscipline::GlobalFifo);
+    let drr = sim(TenantDiscipline::WeightedDrr);
     let sim_fifo_web_p95_ms = fifo.tenants[0].p95_sojourn_s * 1e3;
     let sim_drr_web_p95_ms = drr.tenants[0].p95_sojourn_s * 1e3;
     assert!(
@@ -291,20 +270,17 @@ fn offline_simulator_ranks_disciplines_like_the_live_server() {
     );
 
     // Live run of the same mix on the real (DRR) scheduler.
-    let server = Server::start(
-        serve_cfg(Some(web_etl(1, 1, 250.0))),
-        vec![TimedBackend::boxed("w0", 20, 100)],
-    )
-    .expect("start");
+    let server =
+        Server::start(cfg.clone(), vec![TimedBackend::boxed("w0", 20, 100)]).expect("start");
     let plans = [
         TenantLoad {
             tenant: 1,
-            lambda: 40.0,
+            lambda: lambdas[0],
             requests: 60,
         },
         TenantLoad {
             tenant: 2,
-            lambda: 400.0,
+            lambda: lambdas[1],
             requests: 600,
         },
     ];
